@@ -93,9 +93,24 @@ int main() {
               static_cast<unsigned long long>(cached.cache()->misses()));
 
   // Mixed query batches (70% lookup / 10% history / 10% search / 10%
-  // analytics) through the frontend at increasing reader counts.
-  const std::vector<std::string> searches = {"service.name: http",
-                                             "service.name: ssh"};
+  // analytics) through the frontend at increasing reader counts. Ticks do
+  // not fill the engine's search index, so rebuild it first. Host
+  // documents key service fields by port; a search that matches nothing
+  // would time an empty posting walk, so each must match something.
+  engine.RebuildSearchIndex();
+  const std::vector<std::string> searches = {"svc.80/tcp.service.name: http",
+                                             "svc.22/tcp.service.name: ssh"};
+  for (const std::string& text : searches) {
+    std::string error;
+    const std::size_t matched =
+        engine.search_index().Search(text, &error).size();
+    std::printf("search \"%s\": %zu document(s)\n", text.c_str(), matched);
+    if (matched == 0) {
+      std::fprintf(stderr, "serving_qps: search \"%s\" matched nothing%s%s\n",
+                   text.c_str(), error.empty() ? "" : ": ", error.c_str());
+      return 1;
+    }
+  }
   const std::vector<std::string> protocols = {"HTTP", "SSH"};
   constexpr std::size_t kBatch = 20'000;
 

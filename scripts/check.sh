@@ -57,8 +57,8 @@ SAN_TESTS=(
   "pipeline_test:ReadSideTest.LookupsRunConcurrentlyWithIngest"
   "search_test:IndexConcurrencyTest.*"
   "engines_test:WorldDeterminismTest.Parallel*:WorldDeterminismTest.GroupCommit*"
-  "core_test:ExecutorTest.*:RingTest.*:SlotBoardTest.*:FaultInjectorTest.*:Crc32cTest.*"
-  "failure_injection_test:WalTortureTest.*:WalFaultTest.*"
+  "core_test:ExecutorTest.*:FaultInjectorTest.*:Crc32cTest.*"
+  "failure_injection_test:WalTortureTest.*:WalFaultTest.*:TickPipelineFaultTest.*"
   "trace_test:"
   "replication_test:"
   "replica_router_test:"

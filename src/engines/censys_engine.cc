@@ -221,7 +221,7 @@ void CensysEngine::Bootstrap(Timestamp t0) {
 void CensysEngine::RunInterrogationBatch(
     const std::vector<InterrogationJob>& jobs) {
   if (jobs.empty()) return;
-  // Stages 3-5, overlapped: workers stream jobs off a lock-free ring and
+  // Stages 3-5, overlapped: workers claim jobs from an atomic cursor and
   // stage pure interrogation results into sequence slots; the command
   // thread commits them strictly in candidate-sequence order with
   // group-committed journal appends (see engines/tick_pipeline.h). The
@@ -612,7 +612,12 @@ std::size_t CensysEngine::RebuildSearchIndex() {
   std::size_t indexed = 0;
   journal_.ForEachEntity(
       [&](std::string_view entity_id, const storage::FieldMap& fields) {
-        if (fields.empty()) return;
+        // An emptied entity may still hold a document from an earlier
+        // rebuild; Remove is a no-op when it does not.
+        if (fields.empty()) {
+          index_.Remove(entity_id);
+          return;
+        }
         index_.Index(entity_id, fields);
         ++indexed;
       });

@@ -72,9 +72,10 @@ struct TickStats {
 
   // Overlapped interrogation pipeline (stages 3-5) detail, summed over
   // every wave of the tick.
-  std::uint64_t pipeline_jobs = 0;     // jobs through the ring
+  std::uint64_t pipeline_jobs = 0;     // jobs run through the pipeline
   std::uint64_t pipeline_waves = 0;    // job batches run
-  std::uint64_t help_runs = 0;         // jobs the commit thread stole
+  // Jobs the commit thread ran itself; with threads = 0 that is every job.
+  std::uint64_t help_runs = 0;
   std::uint64_t commit_stalls = 0;     // committer yields on a pending slot
   std::uint64_t batch_flushes = 0;     // group-commit flushes
   double pipeline_wall_us = 0;         // wall clock inside the pipeline

@@ -20,10 +20,10 @@ TickPipeline::TickPipeline(Executor& executor,
       predictive_(predictive),
       commit_batch_(commit_batch == 0 ? 1 : commit_batch) {}
 
-void TickPipeline::Execute(std::uint32_t index) {
+void TickPipeline::Execute(std::size_t index) {
   const metrics::ScopedTimer timer({});
   const InterrogationJob& job = (*jobs_)[index];
-  StagedResult& slot = board_.Slot(index);
+  StagedResult& slot = slots_[index].staged;
   // Slots are reused across waves: clear before filling.
   slot = StagedResult{};
   if (job.interrogate) {
@@ -42,18 +42,18 @@ void TickPipeline::Execute(std::uint32_t index) {
       // Publish the (empty) slot even on failure so the commit stage never
       // waits forever on it; the exception surfaces at JoinBroadcast.
       slot = StagedResult{};
-      board_.Publish(index);
+      slots_[index].ready.store(true, std::memory_order_release);
       throw;
     }
   }
-  board_.Publish(index);
+  slots_[index].ready.store(true, std::memory_order_release);
   worker_busy_us_.fetch_add(static_cast<std::uint64_t>(timer.ElapsedMicros()),
                             std::memory_order_relaxed);
 }
 
-void TickPipeline::Commit(std::uint32_t index) {
+void TickPipeline::Commit(std::size_t index) {
   const InterrogationJob& job = (*jobs_)[index];
-  const StagedResult& slot = board_.Slot(index);
+  const StagedResult& slot = slots_[index].staged;
   interrogator_.CommitResult(slot.result);
   if (slot.result.record.has_value()) {
     if (slot.projected) {
@@ -68,23 +68,6 @@ void TickPipeline::Commit(std::uint32_t index) {
   }
 }
 
-void TickPipeline::RunSerial(const std::vector<InterrogationJob>& jobs) {
-  write_side_.BeginCommitBatch();
-  std::uint32_t since_flush = 0;
-  for (std::uint32_t i = 0; i < jobs.size(); ++i) {
-    Execute(i);
-    const metrics::ScopedTimer commit_timer({});
-    Commit(i);
-    if (++since_flush >= commit_batch_) {
-      write_side_.FlushCommitBatch();
-      ++stats_.batch_flushes;
-      since_flush = 0;
-    }
-    stats_.commit_busy_us += commit_timer.ElapsedMicros();
-  }
-  write_side_.EndCommitBatch();
-}
-
 void TickPipeline::Run(const std::vector<InterrogationJob>& jobs) {
   if (jobs.empty()) return;
   const std::size_t n = jobs.size();
@@ -95,69 +78,40 @@ void TickPipeline::Run(const std::vector<InterrogationJob>& jobs) {
   ++stats_.waves;
 
   jobs_ = &jobs;
-  board_.Reset(n);
-
-  if (executor_.thread_count() == 0) {
-    RunSerial(jobs);
-    stats_.wall_us += wall.ElapsedMicros();
-    stats_.worker_busy_us =
-        static_cast<double>(worker_busy_us_.load(std::memory_order_relaxed));
-    jobs_ = nullptr;
-    return;
+  if (slots_.size() < n) {
+    slots_ = std::vector<Slot>(n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      slots_[i].ready.store(false, std::memory_order_relaxed);
+    }
   }
+  next_.store(0, std::memory_order_relaxed);
 
-  closed_.store(false, std::memory_order_relaxed);
-  const std::uint64_t worker_stalls_before =
-      worker_stalls_.load(std::memory_order_relaxed);
-
-  // Workers: drain the ring until it is closed and empty. Each pop is a
-  // pure interrogation staged into a sequence slot; nothing here touches
-  // shared mutable state outside Ring/SlotBoard.
-  const std::function<void(std::size_t)> worker = [this](std::size_t) {
+  // Workers: claim job indices until the cursor passes n. Each claim is a
+  // pure interrogation staged into its own slot.
+  executor_.Broadcast([this, n](std::size_t) {
     TRACE_SPAN_VAR(wspan, "engine", "pipeline.worker");
     std::uint64_t executed = 0;
-    std::uint32_t index = 0;
-    for (;;) {
-      if (ring_.TryPop(index)) {
-        Execute(index);
-        ++executed;
-        continue;
-      }
-      if (closed_.load(std::memory_order_acquire)) {
-        // The producer is done; one more pop covers items pushed between
-        // our failed pop and the close.
-        if (!ring_.TryPop(index)) break;
-        Execute(index);
-        ++executed;
-        continue;
-      }
-      worker_stalls_.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::yield();
+    for (std::size_t i = next_.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next_.fetch_add(1, std::memory_order_relaxed)) {
+      Execute(i);
+      ++executed;
     }
     wspan.SetArg("executed", std::to_string(executed));
-  };
-  executor_.Broadcast(worker);
+  });
 
-  // Command thread: keep the ring topped up, commit published slots
-  // strictly in sequence order (group-committed), and steal a job when the
-  // next slot is not ready — help-or-commit, never idle-wait.
-  std::size_t pushed = 0;
+  // Command thread: commit published slots strictly in sequence order
+  // (group-committed); when the next slot is not ready, claim a job and
+  // run it (help), or yield once every job is claimed.
   std::size_t committed = 0;
   std::uint32_t since_flush = 0;
   write_side_.BeginCommitBatch();
   try {
     TRACE_SPAN_VAR(cspan, "engine", "pipeline.commit");
     while (committed < n) {
-      while (pushed < n &&
-             ring_.TryPush(static_cast<std::uint32_t>(pushed))) {
-        ++pushed;
-      }
-      if (pushed == n && !closed_.load(std::memory_order_relaxed)) {
-        closed_.store(true, std::memory_order_release);
-      }
-      if (board_.Ready(committed)) {
+      if (slots_[committed].ready.load(std::memory_order_acquire)) {
         const metrics::ScopedTimer commit_timer({});
-        Commit(static_cast<std::uint32_t>(committed));
+        Commit(committed);
         ++committed;
         if (++since_flush >= commit_batch_) {
           write_side_.FlushCommitBatch();
@@ -167,26 +121,22 @@ void TickPipeline::Run(const std::vector<InterrogationJob>& jobs) {
         stats_.commit_busy_us += commit_timer.ElapsedMicros();
         continue;
       }
-      std::uint32_t index = 0;
-      if (ring_.TryPop(index)) {
+      const std::size_t index = next_.fetch_add(1, std::memory_order_relaxed);
+      if (index < n) {
         Execute(index);
         ++stats_.help_runs;
-      } else {
-        ++stats_.commit_stalls;
-        std::this_thread::yield();
+        continue;
       }
+      ++stats_.commit_stalls;
+      std::this_thread::yield();
     }
     write_side_.EndCommitBatch();
     cspan.SetArg("helps", std::to_string(stats_.help_runs));
     cspan.SetArg("stalls", std::to_string(stats_.commit_stalls));
   } catch (...) {
-    // Quiesce the workers before unwinding: they only reference jobs_ and
-    // the board, and their remaining work is pure, so letting them drain
-    // is safe — but they must not outlive this frame's references.
-    closed_.store(true, std::memory_order_release);
-    std::uint32_t index = 0;
-    while (ring_.TryPop(index)) {
-    }
+    // Stop the workers claiming before unwinding: they reference jobs_ and
+    // the slots, so they must be joined before this frame's references go.
+    next_.store(n, std::memory_order_relaxed);
     try {
       executor_.JoinBroadcast();
     } catch (...) {
@@ -197,10 +147,8 @@ void TickPipeline::Run(const std::vector<InterrogationJob>& jobs) {
   executor_.JoinBroadcast();
   jobs_ = nullptr;
 
-  stats_.worker_stalls +=
-      worker_stalls_.load(std::memory_order_relaxed) - worker_stalls_before;
   stats_.wall_us += wall.ElapsedMicros();
-  // Cumulative Execute time everywhere it ran (workers + help steals).
+  // Cumulative Execute time everywhere it ran (workers + help runs).
   stats_.worker_busy_us =
       static_cast<double>(worker_busy_us_.load(std::memory_order_relaxed));
   span.SetArg("helps", std::to_string(stats_.help_runs));

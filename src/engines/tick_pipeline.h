@@ -1,45 +1,51 @@
-// Stages 3-5 of the tick pipeline as an overlapped, lock-free assembly
-// line.
+// Stages 3-5 of the tick pipeline: parallel interrogation overlapped with
+// an in-order commit.
 //
-// The old shape was fork/join: ParallelFor over every job, a barrier, then
-// a serial commit loop — the commit stage was idle while workers ran and
-// the workers were idle while the command thread committed. This pipeline
-// overlaps them:
+// A wave's job list is fully known before it starts, so the only thing
+// handed out is a job index, and one shared atomic counter (the cursor)
+// hands those out:
 //
 //   command thread            workers (Executor::Broadcast)
 //   --------------            -----------------------------
-//   push job indices  ---->   pop from lock-free Ring
-//   commit ready slots <----  interrogate (pure), stage result
-//   in SEQUENCE order         into SlotBoard slot, publish
-//   (group-committed)
+//   commit ready slots <----  claim next_.fetch_add(1), interrogate
+//   in SEQUENCE order         (pure), stage the result into its slot,
+//   (group-committed)         publish
 //
-// The command thread streams indices into a bounded core::Ring, drains
-// SlotBoard slots strictly in sequence order (group-committing journal
-// appends through WriteSide::BeginCommitBatch), and — when the next slot
-// is not ready and the ring still has work — pops a job and runs it
-// itself ("help" steal), so a full ring or a slow worker never idles the
-// committer. Workers exit when the ring is closed and empty.
+// The command thread commits slots strictly in sequence order
+// (group-committing journal appends through WriteSide::BeginCommitBatch).
+// When the next slot is not ready it claims a job from the same cursor and
+// runs it itself ("help"), or yields once every job is claimed, so a slow
+// worker never idles the committer. Workers exit when the cursor passes
+// the job count. With zero workers Broadcast is a no-op and the same loop
+// claims, executes and commits job i in turn: the exact serial order and
+// flush cadence.
 //
-// Determinism is by construction, same argument as the fork/join version:
-// interrogation is pure (InterrogateDetached), every side effect commits
-// on the command thread in sequence order, and group-commit batch
-// boundaries never change journal content. threads = 0 degenerates to the
-// exact serial order.
+// Overlap pays: a plain ParallelFor over the jobs followed by a serial
+// commit loop measured ~24% slower per tick on `mapbench ingest`
+// (EXPERIMENTS.md).
 //
-// Concurrency: Ring and SlotBoard carry all cross-thread communication
-// (acquire/release); `closed_` is release-set by the command thread after
-// the last push. Workers read `jobs_` and the interrogator const-only.
-// There are no mutexes or condition variables on this path (censyslint
-// enforces the absence for src/engines/ and src/interrogate/).
+// Determinism is by construction: interrogation is pure
+// (InterrogateDetached), every side effect commits on the command thread in
+// sequence order, and group-commit batch boundaries never change journal
+// content.
+//
+// Concurrency: the cursor `next_` hands each index to exactly one thread
+// (atomic RMW); a slot is written only by the thread that claimed its
+// index and is release-published through its `ready` flag, which the
+// command thread acquire-loads before committing. Slots and the cursor are
+// reset only between waves, while no worker runs (Broadcast/JoinBroadcast
+// order those accesses). Workers read `jobs_` and the interrogator
+// const-only. There are no mutexes or condition variables on this path
+// (censyslint enforces the absence for src/engines/ and src/interrogate/).
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "core/executor.h"
-#include "core/ring.h"
 #include "interrogate/interrogator.h"
 #include "pipeline/write_side.h"
 #include "predict/predictive.h"
@@ -73,9 +79,9 @@ struct TickPipelineStats {
   std::uint64_t jobs = 0;
   std::uint64_t waves = 0;         // Run invocations
   std::uint64_t batch_flushes = 0; // group-commit flushes issued
-  std::uint64_t help_runs = 0;     // jobs the command thread stole
+  // Jobs the command thread ran itself; with zero workers, every job.
+  std::uint64_t help_runs = 0;
   std::uint64_t commit_stalls = 0; // yields waiting on an unpublished slot
-  std::uint64_t worker_stalls = 0; // worker yields on an empty open ring
   double wall_us = 0;              // stage 3-5 wall clock
   double worker_busy_us = 0;       // summed across workers
   double commit_busy_us = 0;       // command-thread commit work
@@ -100,7 +106,6 @@ class TickPipeline {
   void ResetStats() {
     stats_ = TickPipelineStats{};
     worker_busy_us_.store(0, std::memory_order_relaxed);
-    worker_stalls_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -113,13 +118,18 @@ class TickPipeline {
     bool projected = false;            // fields/hash above are filled in
   };
 
+  // One staging cell per job index, on its own cache line so workers
+  // finishing adjacent jobs never write the same line.
+  struct alignas(64) Slot {
+    std::atomic<bool> ready{false};
+    StagedResult staged;
+  };
+
   // Stage 3 for one job, into its slot; publishes when done. Pure except
   // for the slot and relaxed stat counters — safe on any thread.
-  void Execute(std::uint32_t index);
+  void Execute(std::size_t index);
   // Stage 4+5 for one published slot (command thread only).
-  void Commit(std::uint32_t index);
-  // Serial fallback (threads = 0): execute + commit inline, in order.
-  void RunSerial(const std::vector<InterrogationJob>& jobs);
+  void Commit(std::size_t index);
 
   Executor& executor_;
   interrogate::Interrogator& interrogator_;
@@ -127,16 +137,14 @@ class TickPipeline {
   predict::PredictiveEngine& predictive_;
   const std::uint32_t commit_batch_;
 
-  core::Ring<std::uint32_t> ring_{1024};
-  core::SlotBoard<StagedResult> board_;
-  // No more pushes coming: set (release) by the command thread after the
-  // last TryPush of a wave succeeds.
-  std::atomic<bool> closed_{false};
+  // Grown on demand, never shrunk; slots are reused across waves.
+  std::vector<Slot> slots_;
+  // The next unclaimed job index of the current wave.
+  alignas(64) std::atomic<std::size_t> next_{0};
   const std::vector<InterrogationJob>* jobs_ = nullptr;
 
   TickPipelineStats stats_;
   std::atomic<std::uint64_t> worker_busy_us_{0};
-  std::atomic<std::uint64_t> worker_stalls_{0};
 };
 
 }  // namespace censys::engines

@@ -38,7 +38,7 @@ Follower::Follower(std::string name, Options options)
       journal_(WithoutWal(options_.journal)),
       write_side_(journal_, bus_),
       read_side_(journal_, write_side_) {
-  if (options_.enable_cache) read_side_.EnableCache();
+  read_side_.EnableCache();
 }
 
 bool Follower::Bootstrap(std::string_view snapshot, std::uint64_t lsn) {
@@ -47,19 +47,17 @@ bool Follower::Bootstrap(std::string_view snapshot, std::uint64_t lsn) {
   // resets underneath them.
   for (const std::string& id : indexed_ids_) index_.Remove(id);
   indexed_ids_.clear();
-  if (read_side_.cache() != nullptr) read_side_.cache()->Clear();
+  read_side_.cache()->Clear();
   if (!journal_.LoadReplicaSnapshot(snapshot, lsn)) {
     applied_lsn_.store(0, std::memory_order_release);
     return false;
   }
-  if (options_.maintain_search_index) {
-    journal_.ForEachEntity(
-        [&](std::string_view id, const storage::FieldMap& fields) {
-          if (fields.empty()) return;
-          index_.Index(id, fields);
-          indexed_ids_.insert(std::string(id));
-        });
-  }
+  journal_.ForEachEntity(
+      [&](std::string_view id, const storage::FieldMap& fields) {
+        if (fields.empty()) return;
+        index_.Index(id, fields);
+        indexed_ids_.insert(std::string(id));
+      });
   applied_lsn_.store(lsn, std::memory_order_release);
   bootstraps_.fetch_add(1, std::memory_order_relaxed);
   serving_.store(true, std::memory_order_release);
@@ -109,7 +107,7 @@ Follower::IngestResult Follower::Apply(const Shipment& shipment) {
       return result;
     }
     journal_.ApplyReplicated(record);
-    if (options_.maintain_search_index) UpdateIndexFor(record.entity);
+    UpdateIndexFor(record.entity);
     applied = record.lsn;
     applied_lsn_.store(applied, std::memory_order_release);
     applied_records_.fetch_add(1, std::memory_order_relaxed);

@@ -48,9 +48,6 @@ class Follower {
     // (a follower with a different snapshot_every would journal different
     // snapshot rows and digests would diverge). wal.dir must stay empty.
     storage::EventJournal::Options journal{};
-    bool enable_cache = true;
-    // Maintain the follower's SearchIndex per applied record.
-    bool maintain_search_index = true;
   };
 
   Follower(std::string name, Options options);

@@ -45,8 +45,8 @@ class ReplicationGroup {
     // large values amortize framing.
     std::size_t max_records_per_shipment = 64;
     // Shape of new followers. Journal content knobs (snapshot cadence,
-    // tiering) are overridden from the leader so digests can match; shard
-    // count and cache/index toggles are honored as given.
+    // tiering) are overridden from the leader so digests can match; the
+    // shard count is honored as given.
     Follower::Options follower{};
   };
 

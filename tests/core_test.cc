@@ -19,7 +19,6 @@
 #include "core/fault.h"
 #include "core/executor.h"
 #include "core/metrics.h"
-#include "core/ring.h"
 #include "core/rng.h"
 #include "core/sha256.h"
 #include "core/strings.h"
@@ -562,162 +561,6 @@ TEST(ExecutorTest, BroadcastWithZeroWorkersIsANoOp) {
   executor.Broadcast([&](std::size_t) { ran = true; });
   executor.JoinBroadcast();
   EXPECT_FALSE(ran);  // the caller is expected to run the work inline
-}
-
-// ------------------------------------------------------------------------ Ring
-
-TEST(RingTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(core::Ring<int>(1).capacity(), 2u);
-  EXPECT_EQ(core::Ring<int>(2).capacity(), 2u);
-  EXPECT_EQ(core::Ring<int>(3).capacity(), 4u);
-  EXPECT_EQ(core::Ring<int>(1000).capacity(), 1024u);
-}
-
-TEST(RingTest, FifoSingleThreadedAndBoundaryConditions) {
-  core::Ring<int> ring(4);
-  int out = 0;
-  EXPECT_FALSE(ring.TryPop(out));  // empty
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.TryPush(i));
-  EXPECT_FALSE(ring.TryPush(99));  // full — backpressure, not blocking
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.TryPop(out));
-    EXPECT_EQ(out, i);  // FIFO
-  }
-  EXPECT_FALSE(ring.TryPop(out));  // drained
-}
-
-TEST(RingTest, WraparoundReusesCellsAcrossManyCycles) {
-  // Cursors pass the capacity boundary thousands of times; per-cell seq
-  // counters must keep push/pop claims matched the whole way.
-  core::Ring<std::uint64_t> ring(8);
-  std::uint64_t out = 0;
-  for (std::uint64_t i = 0; i < 10000; ++i) {
-    ASSERT_TRUE(ring.TryPush(i));
-    ASSERT_TRUE(ring.TryPush(i * 2));
-    ASSERT_TRUE(ring.TryPop(out));
-    EXPECT_EQ(out, i);
-    ASSERT_TRUE(ring.TryPop(out));
-    EXPECT_EQ(out, i * 2);
-  }
-}
-
-// MPMC stress: every pushed value must be popped exactly once, across
-// producer/consumer thread counts, through a deliberately tiny ring so
-// full/empty races happen constantly. Run under TSan in the sanitizer leg.
-TEST(RingTest, MpmcStressTransfersEveryItemExactlyOnce) {
-  constexpr int kProducers = 3;
-  constexpr int kConsumers = 3;
-  constexpr std::uint64_t kPerProducer = 20000;
-  core::Ring<std::uint64_t> ring(16);
-
-  std::atomic<std::uint64_t> popped_sum{0};
-  std::atomic<std::uint64_t> popped_count{0};
-  std::atomic<bool> done_producing{false};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        const std::uint64_t value =
-            (static_cast<std::uint64_t>(p) << 32) | i;
-        while (!ring.TryPush(value)) std::this_thread::yield();
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      std::uint64_t value = 0;
-      for (;;) {
-        if (ring.TryPop(value)) {
-          popped_sum.fetch_add(value, std::memory_order_relaxed);
-          popped_count.fetch_add(1, std::memory_order_relaxed);
-        } else if (done_producing.load(std::memory_order_acquire)) {
-          // One more pop covers items pushed between the failed pop and
-          // the flag read.
-          while (ring.TryPop(value)) {
-            popped_sum.fetch_add(value, std::memory_order_relaxed);
-            popped_count.fetch_add(1, std::memory_order_relaxed);
-          }
-          return;
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (std::size_t t = 0; t < static_cast<std::size_t>(kProducers); ++t) {
-    threads[t].join();
-  }
-  done_producing.store(true, std::memory_order_release);
-  for (std::size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
-
-  std::uint64_t want_sum = 0;
-  for (int p = 0; p < kProducers; ++p) {
-    for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-      want_sum += (static_cast<std::uint64_t>(p) << 32) | i;
-    }
-  }
-  EXPECT_EQ(popped_count.load(), kProducers * kPerProducer);
-  EXPECT_EQ(popped_sum.load(), want_sum);
-}
-
-// -------------------------------------------------------------------- SlotBoard
-
-TEST(SlotBoardTest, PublishedSlotsBecomeReadyOthersStayPending) {
-  core::SlotBoard<int> board(4);
-  board.Reset(10);
-  EXPECT_EQ(board.size(), 10u);
-  for (std::size_t seq = 0; seq < 10; ++seq) EXPECT_FALSE(board.Ready(seq));
-  board.Slot(3) = 33;
-  board.Publish(3);
-  EXPECT_TRUE(board.Ready(3));
-  EXPECT_FALSE(board.Ready(2));
-  EXPECT_FALSE(board.Ready(4));
-  EXPECT_EQ(board.Slot(3), 33);
-}
-
-TEST(SlotBoardTest, ResetClearsReadyFlagsBetweenBatches) {
-  core::SlotBoard<int> board(2);
-  board.Reset(6);
-  for (std::size_t seq = 0; seq < 6; ++seq) board.Publish(seq);
-  board.Reset(6);
-  for (std::size_t seq = 0; seq < 6; ++seq) {
-    EXPECT_FALSE(board.Ready(seq)) << seq;
-  }
-  // Shrinking and regrowing across resets keeps slots addressable.
-  board.Reset(2);
-  board.Reset(64);
-  for (std::size_t seq = 0; seq < 64; ++seq) EXPECT_FALSE(board.Ready(seq));
-  board.Publish(63);
-  EXPECT_TRUE(board.Ready(63));
-}
-
-// Workers publish out of order; the consumer walks seqs strictly in order,
-// spinning on Ready — the group-commit drain loop in miniature. The
-// acquire/release pair on the ready flag must make the slot value visible.
-TEST(SlotBoardTest, CrossThreadPublishIsObservedInSequenceOrder) {
-  constexpr std::size_t kN = 4096;
-  core::SlotBoard<std::uint64_t> board(8);
-  board.Reset(kN);
-
-  std::vector<std::thread> workers;
-  for (int w = 0; w < 4; ++w) {
-    workers.emplace_back([&, w] {
-      // Worker w owns seqs w, w+4, w+8, ... and publishes them backwards,
-      // so the consumer always sees gaps.
-      for (std::size_t seq = kN - 4 + static_cast<std::size_t>(w);
-           seq < kN; seq -= 4) {
-        board.Slot(seq) = seq * 3;
-        board.Publish(seq);
-        if (seq < 4) break;
-      }
-    });
-  }
-  for (std::size_t seq = 0; seq < kN; ++seq) {
-    while (!board.Ready(seq)) std::this_thread::yield();
-    EXPECT_EQ(board.Slot(seq), seq * 3);
-  }
-  for (std::thread& t : workers) t.join();
 }
 
 // -------------------------------------------------------------------- metrics

@@ -343,6 +343,30 @@ TEST_F(WorldTest, ExclusionStopsScanningAndDropsData) {
   EXPECT_EQ(world_->censys().write_side().GetState(*victim), nullptr);
 }
 
+// A rebuild must drop hosts whose state emptied since the previous one:
+// the index then holds exactly the non-empty entities.
+TEST(SearchRebuildTest, RebuildDropsHostsEmptiedSinceLastRebuild) {
+  WorldConfig cfg = SmallWorld(42);
+  cfg.universe.target_services = 3000;
+  cfg.with_alternatives = false;
+  World world(cfg);
+  world.Bootstrap();
+  world.RunForDays(1);
+  world.censys().RebuildSearchIndex();
+  world.RunForDays(3);  // past the 72 h eviction window
+
+  const std::size_t indexed = world.censys().RebuildSearchIndex();
+  std::size_t non_empty = 0;
+  std::size_t emptied = 0;
+  world.censys().journal().ForEachEntity(
+      [&](std::string_view, const storage::FieldMap& fields) {
+        ++(fields.empty() ? emptied : non_empty);
+      });
+  ASSERT_GT(emptied, 0u);
+  EXPECT_EQ(indexed, non_empty);
+  EXPECT_EQ(world.censys().search_index().doc_count(), non_empty);
+}
+
 // --------------------------------------------------- determinism (own worlds)
 
 TEST(WorldDeterminismTest, SameSeedSameOutcome) {

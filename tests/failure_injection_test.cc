@@ -411,6 +411,32 @@ TEST(WalTortureTest, CrashRecoveryConvergesAcrossSeeds) {
   EXPECT_GT(total_crashes, 30);
 }
 
+// A WAL write that fails mid-tick throws out of the tick pipeline's commit
+// loop while its workers are still claiming jobs. The pipeline must stop
+// and join them before the error surfaces: the World then destructs
+// without hanging, at every worker count.
+TEST(TickPipelineFaultTest, WalErrorMidTickJoinsWorkersAndRethrows) {
+  for (const int threads : {0, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    WorldConfig cfg = BaseWorld();
+    cfg.universe.target_services = 2000;
+    cfg.censys.threads = threads;
+    cfg.censys.commit_batch = 1;
+    cfg.censys.journal_options.wal.dir =
+        ScratchDir("tick_wal_error_" + std::to_string(threads));
+    World world(cfg);
+    world.Bootstrap();
+    {
+      // The tick's first commit fails; with threads = 3 the workers have
+      // usually claimed only part of that wave by then.
+      fault::ScopedPlan plan(5, {{.point = "storage.wal.append",
+                                  .mode = fault::Mode::kErrorReturn}});
+      EXPECT_THROW(world.RunUntil(world.now() + Duration::Hours(2)),
+                   storage::WalIoError);
+    }
+  }
+}
+
 // Probe-level faults degrade coverage, never crash the pipeline: the
 // interrogate.probe point turns seed-chosen interrogations into
 // no-answers, which the refresh scheduler already absorbs.

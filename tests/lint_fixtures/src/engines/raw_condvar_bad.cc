@@ -1,6 +1,6 @@
 // Fixture: a blocking condvar handoff between tick-pipeline stages must
-// be flagged under src/engines/ (and src/interrogate/) — stage handoff
-// streams through the lock-free core::Ring / core::SlotBoard so the
+// be flagged under src/engines/ (and src/interrogate/) — workers claim
+// jobs from an atomic cursor and publish per-slot ready flags, so the
 // commit thread helps execute jobs instead of sleeping on a signal.
 #include <condition_variable>
 

@@ -1,13 +1,12 @@
-// Fixture: the sanctioned stage handoff — candidates stream through the
-// bounded lock-free ring and the committer spins productively (help-or-
-// commit) rather than blocking on a condition variable. Must lint clean.
+// Fixture: the sanctioned stage handoff — jobs are claimed from a shared
+// atomic cursor and the committer spins productively (help-or-commit)
+// rather than blocking on a condition variable. Must lint clean.
+#include <atomic>
+#include <cstddef>
 #include <thread>
 
-#include "core/ring.h"
-
-void DrainJobs(censys::core::Ring<int>& ring) {
-  int job = 0;
-  while (ring.TryPop(job)) {
+void DrainJobs(std::atomic<std::size_t>& next, std::size_t n) {
+  for (std::size_t job = next.fetch_add(1); job < n; job = next.fetch_add(1)) {
     // execute the job; no blocking handoff anywhere in the loop
   }
   std::this_thread::yield();

@@ -331,9 +331,10 @@ const std::vector<LineRule>& LineRules() {
       {"raw-condvar", "",
        std::regex(
            R"(std\s*::\s*condition_variable(_any)?\b|\bnotify_(one|all)\s*\(|\.\s*wait(_for|_until)?\s*\()"),
-       "blocking condvar handoff in the tick pipeline; stages stream "
-       "through the lock-free core::Ring / core::SlotBoard (core/ring.h) "
-       "so the commit thread can help instead of sleeping",
+       "blocking condvar handoff in the tick pipeline; workers claim jobs "
+       "from an atomic cursor and publish per-slot ready flags "
+       "(engines/tick_pipeline.h) so the commit thread can help instead "
+       "of sleeping",
        {},
        false,
        {"src/engines/", "src/interrogate/"},
