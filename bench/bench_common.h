@@ -33,24 +33,6 @@ inline std::uint64_t EnvOr(const char* name, std::uint64_t fallback) {
   return value != nullptr ? std::strtoull(value, nullptr, 10) : fallback;
 }
 
-// Appends one JSON-lines record to $CENSYSIM_BENCH_JSON (no-op when the
-// variable is unset). scripts/bench_baseline.sh points every bench at one
-// file and assembles the committed BENCH_*.json baseline from the lines.
-// Schema: {"bench", "metric", "value", "unit", "seed"}.
-inline void EmitBenchJson(const char* bench, const char* metric, double value,
-                          const char* unit) {
-  const char* path = std::getenv("CENSYSIM_BENCH_JSON");
-  if (path == nullptr || *path == '\0') return;
-  std::FILE* out = std::fopen(path, "a");
-  if (out == nullptr) return;
-  std::fprintf(out,
-               "{\"bench\": \"%s\", \"metric\": \"%s\", \"value\": %.6g, "
-               "\"unit\": \"%s\", \"seed\": %llu}\n",
-               bench, metric, value, unit,
-               static_cast<unsigned long long>(EnvOr("CENSYSIM_SEED", 42)));
-  std::fclose(out);
-}
-
 inline BenchOptions WithEnvOverrides(BenchOptions opts) {
   opts.seed = EnvOr("CENSYSIM_SEED", opts.seed);
   opts.universe_bits =

@@ -7,8 +7,7 @@
 // horizontal capacity (that comes from putting followers on separate
 // hosts); what they pin is the cost side of the tier — the policy lock,
 // round-robin dispatch, and the locality hit of spreading a hot working
-// set over N separate read stacks. The emitted BENCH_*.json rows let the
-// trajectory diff catch routing-overhead regressions per replica count.
+// set over N separate read stacks.
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -146,10 +145,6 @@ int main() {
     table.AddRow({std::to_string(replicas), qps_buf,
                   std::to_string(report.stale), std::to_string(report.shed),
                   speedup_buf});
-    const std::string metric =
-        "router_qps_replicas" + std::to_string(replicas);
-    bench::EmitBenchJson("replica_scaleout", metric.c_str(), report.qps,
-                         "queries/s");
   }
   table.Print();
 
@@ -157,6 +152,6 @@ int main() {
       "\npaper (§5.3): the read tier scales horizontally by putting "
       "followers on separate machines; in this single-process rig the rows "
       "instead pin the router's fan-out overhead — all answers fresh, none "
-      "shed, and the per-replica-count QPS trajectory tracked across PRs\n");
+      "shed\n");
   return 0;
 }

@@ -83,10 +83,6 @@ int main() {
   std::snprintf(speedup, sizeof(speedup), "%.1fx", cached_qps / uncached_qps);
   lookup_table.AddRow({"cache-hot", buf, speedup});
   lookup_table.Print();
-  bench::EmitBenchJson("serving_qps", "uncached_lookup_qps", uncached_qps,
-                       "lookups/s");
-  bench::EmitBenchJson("serving_qps", "cached_lookup_qps", cached_qps,
-                       "lookups/s");
   std::printf("cache hit ratio: %.3f (hits=%llu misses=%llu)\n\n",
               cached.cache()->HitRatio(),
               static_cast<unsigned long long>(cached.cache()->hits()),
@@ -133,10 +129,6 @@ int main() {
     std::snprintf(buf, sizeof(buf), "%.0f", report.qps);
     std::snprintf(speedup, sizeof(speedup), "%.1f", report.lookup_p99_us);
     frontend_table.AddRow({std::to_string(threads), buf, speedup});
-    const std::string metric =
-        "frontend_qps_threads" + std::to_string(threads);
-    bench::EmitBenchJson("serving_qps", metric.c_str(), report.qps,
-                         "queries/s");
   }
   frontend_table.Print();
 

@@ -2,9 +2,9 @@
 // expressions ride the journal's commit observer through a full simulated
 // run. The numbers pin the incremental-evaluation claim — per-commit cost
 // scales with the queries a delta's fields shortlist, not with the total
-// registered population — so the emitted rows are the evaluation rate and
-// the total time spent inside OnCommit, which the trajectory diff can
-// hold against the run's journal volume.
+// registered population — so the printed figures are the evaluation rate
+// and the total time spent inside OnCommit, read against the run's journal
+// volume.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -125,13 +125,6 @@ int main() {
   std::printf("time inside OnCommit:   %.1f ms (%.1f%% of the %.1fs run)\n",
               eval_secs * 1000.0,
               run_secs > 0 ? 100.0 * eval_secs / run_secs : 0, run_secs);
-
-  EmitBenchJson("standing_queries", "registered",
-                static_cast<double>(registered), "queries");
-  EmitBenchJson("standing_queries", "match_events",
-                static_cast<double>(events), "events");
-  EmitBenchJson("standing_queries", "evals_per_s", evals_per_s, "items/s");
-  EmitBenchJson("standing_queries", "oncommit_ms", eval_secs * 1000.0, "ms");
 
   if (registered == 0 || events == 0 || evals == 0) {
     std::fprintf(stderr,

@@ -67,8 +67,6 @@ int main() {
     const double micros = timer.ElapsedMicros();
     table.AddRow({"journal, no WAL", Rate(ops, micros),
                   "in-memory ceiling"});
-    bench::EmitBenchJson("wal_throughput", "journal_no_wal_ops_per_s",
-                         ops / (micros / 1e6), "ops/s");
   }
 
   // Durable default: WAL on, fsync only at rotation/checkpoint.
@@ -85,8 +83,6 @@ int main() {
                   HumanCount(journal.wal()->appended_bytes()).c_str(),
                   static_cast<unsigned long long>(journal.wal()->rotations()));
     table.AddRow({"WAL, batched fsync", Rate(ops, wal_micros), notes});
-    bench::EmitBenchJson("wal_throughput", "wal_batched_fsync_ops_per_s",
-                         ops / (wal_micros / 1e6), "ops/s");
 
     // Checkpoint cost at this journal size.
     const WallTimer ckpt_timer;
@@ -100,7 +96,6 @@ int main() {
     std::snprintf(ckpt, sizeof(ckpt), "%.1f ms", ckpt_ms);
     table.AddRow({"checkpoint write", ckpt,
                   std::to_string(journal.event_count()) + " events covered"});
-    bench::EmitBenchJson("wal_throughput", "checkpoint_ms", ckpt_ms, "ms");
 
     // Append a tail past the checkpoint, then time a full recovery
     // (checkpoint load + tail replay) into a fresh journal.
@@ -113,7 +108,6 @@ int main() {
       return 1;
     }
     const double rec_ms = recover_timer.ElapsedMicros() / 1e3;
-    bench::EmitBenchJson("wal_throughput", "crash_recovery_ms", rec_ms, "ms");
     char rec[64];
     std::snprintf(rec, sizeof(rec), "%.1f ms", rec_ms);
     table.AddRow({"crash recovery", rec,
@@ -132,8 +126,6 @@ int main() {
     const double micros = timer.ElapsedMicros();
     table.AddRow({"WAL, fsync each", Rate(fsync_ops, micros),
                   std::to_string(journal.wal()->fsyncs()) + " fsyncs"});
-    bench::EmitBenchJson("wal_throughput", "wal_fsync_each_ops_per_s",
-                         fsync_ops / (micros / 1e6), "ops/s");
   }
 
   table.Print();

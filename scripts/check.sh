@@ -18,6 +18,10 @@
 #   scripts/check.sh archlint   # architecture passes only (layering,
 #                               # lock-order, unordered-iter) with the SARIF
 #                               # report archived to build/archlint.sarif.json
+#   scripts/check.sh mapbench [BASE]
+#                               # the map benchmark, this checkout against
+#                               # revision BASE (default HEAD~1): alternating
+#                               # pairs, medians held to BENCHMARK.json bounds
 #
 # Sanitizer legs build into scratch dirs (build-asan, build-tsan, build-ubsan)
 # and run the concurrency-heavy test subset, which is where sanitizer signal
@@ -56,7 +60,7 @@ SAN_TESTS=(
   "storage_test:JournalConcurrencyTest.*:Wal*"
   "pipeline_test:ReadSideTest.LookupsRunConcurrentlyWithIngest"
   "search_test:IndexConcurrencyTest.*"
-  "engines_test:WorldDeterminismTest.Parallel*:WorldDeterminismTest.GroupCommit*"
+  "engines_test:WorldDeterminismTest.Parallel*:WorldDeterminismTest.GroupCommit*:TickReportTest.*"
   "core_test:ExecutorTest.*:FaultInjectorTest.*:Crc32cTest.*"
   "failure_injection_test:WalTortureTest.*:WalFaultTest.*:TickPipelineFaultTest.*"
   "trace_test:"
@@ -271,6 +275,106 @@ PY
   record "archlint leg" $rc
 }
 
+# Benchmark leg: the map benchmark (mapbench/, declared in BENCHMARK.json),
+# run on revision BASE and on this checkout as alternating pairs, each pair
+# with one seed, each side building its own .bench_build/. It fails on a
+# run that exits non-zero or reports "correct": false, on a failed share
+# (failed / attempted) above the base's, or on an end-to-end median worse
+# than the base's by more than the metric's bound. BASE is exported with
+# git archive into a temporary directory outside the repository (no .git
+# state to leave behind if the leg is killed), removed on exit.
+run_mapbench() { # run_mapbench <base revision>
+  local base="$1" dir
+  note "mapbench leg (this checkout against $base)"
+  if ! git rev-parse --verify --quiet "$base^{commit}" >/dev/null; then
+    echo "mapbench leg: no revision $base" >&2
+    record "mapbench leg" 1
+    return
+  fi
+  dir=$(mktemp -d)
+  trap "rm -rf '$dir'" EXIT
+  git archive "$base" | tar -x -C "$dir" || { record "mapbench leg" 1; return; }
+  python3 - "$dir" "$PWD" <<'PY'
+import json
+import statistics
+import subprocess
+import sys
+import time
+
+# Each side runs first in half of the pairs, so a drift in the host's
+# speed during the leg falls on both sides alike.
+PAIRS = 10
+FIRST_SEED = 301
+
+trees = {"base": sys.argv[1], "change": sys.argv[2]}
+with open(f"{trees['change']}/BENCHMARK.json") as f:
+    spec = json.load(f)
+e2e = spec["end_to_end"]
+
+
+def run(side, workload, seed):
+    """One benchmark run's last line, with the end-to-end metrics' values
+    under "values"; exits the leg on a failed or incorrect run."""
+    args = ["--workload", workload, "--seed", str(seed),
+            "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+    proc = subprocess.run(spec["command"] + args, cwd=trees[side],
+                          capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+        ok = proc.returncode == 0 and result["correct"] is True
+        metrics = result["metrics"]
+        result["values"] = {m["name"]: float(metrics[m["name"]]["value"])
+                            for m in e2e}
+    except (IndexError, KeyError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        sys.stderr.write(proc.stderr[-4000:])
+        sys.exit(f"mapbench leg: {side} {workload} seed {seed} failed "
+                 f"(exit {proc.returncode}): "
+                 f"{lines[-1] if lines else 'no output'}")
+    return result
+
+
+start = time.monotonic()
+runs = {}
+for workload in (w["name"] for w in spec["workloads"]):
+    runs[workload] = {"base": [], "change": []}
+    for i in range(PAIRS):
+        seed = FIRST_SEED + i
+        for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+            t = time.monotonic()
+            runs[workload][side].append(run(side, workload, seed))
+            print(f"{workload} pair {i + 1}/{PAIRS} {side:<6} seed {seed}: "
+                  f"{time.monotonic() - t:.0f} s", flush=True)
+
+failed = False
+for workload, sides in runs.items():
+    share = {s: sum(r["failed"] for r in rs) / sum(r["attempted"] for r in rs)
+             for s, rs in sides.items()}
+    share_ok = share["change"] <= share["base"]
+    failed |= not share_ok
+    print(f"\n{workload}: {PAIRS} pairs; failed share "
+          f"base {share['base']:.3g}, change {share['change']:.3g}: "
+          f"{'ok' if share_ok else 'FAIL'}")
+    print(f"{'metric':<24} {'base':>10} {'change':>10} {'delta':>8} "
+          f"{'bound':>6}  verdict")
+    for m in e2e:
+        b, c = (statistics.median(r["values"][m["name"]] for r in sides[s])
+                for s in ("base", "change"))
+        delta = (c - b) / b
+        worse = delta if m["better"] == "lower" else -delta
+        verdict = "FAIL" if worse > m["bound"] else "ok"
+        failed |= verdict == "FAIL"
+        print(f"{m['name']:<24} {b:>10.5g} {c:>10.5g} {delta:>+8.1%} "
+              f"{m['bound']:>6.2f}  {verdict}")
+print(f"\nmapbench leg: {PAIRS} pairs per workload, "
+      f"{(time.monotonic() - start) / 60:.1f} min")
+sys.exit(1 if failed else 0)
+PY
+  record "mapbench leg" $?
+}
+
 LEG="${1:-all}"
 case "$LEG" in
   plain) run_plain ;;
@@ -284,6 +388,7 @@ case "$LEG" in
   query) run_query ;;
   lint) run_lint ;;
   archlint) run_archlint ;;
+  mapbench) run_mapbench "${2:-HEAD~1}" ;;
   all)
     run_plain
     run_lint
@@ -296,9 +401,11 @@ case "$LEG" in
     run_sanitizer undefined build-ubsan
     run_replication
     run_query
+    run_mapbench HEAD~1
     ;;
   *)
     echo "usage: scripts/check.sh [plain|address|thread|undefined|faultoff|trace|scaling|replication|query|lint|archlint|all]" >&2
+    echo "       scripts/check.sh mapbench [BASE]" >&2
     exit 2
     ;;
 esac

@@ -533,9 +533,9 @@ void CensysEngine::Tick(Timestamp from, Timestamp to) {
   stats.worker_busy_us = pipe.worker_busy_us;
   stats.commit_busy_us = pipe.commit_busy_us;
   if (pipe.wall_us > 0) {
-    const int workers = executor_->thread_count();
-    stats.worker_occupancy =
-        workers > 0 ? pipe.worker_busy_us / (pipe.wall_us * workers) : 0.0;
+    // Jobs run on the workers and, as help runs, on the command thread.
+    const int job_threads = executor_->thread_count() + 1;
+    stats.worker_occupancy = pipe.worker_busy_us / (pipe.wall_us * job_threads);
     stats.commit_occupancy = pipe.commit_busy_us / pipe.wall_us;
   }
   last_tick_ = stats;

@@ -83,8 +83,9 @@ struct TickStats {
   double commit_busy_us = 0;           // serial commit time
   // Busy / wall fractions under overlap: how much of the pipeline's wall
   // clock each stage actually worked. worker_occupancy is normalized by
-  // the worker count (1.0 = every worker busy the whole time; 0 when
-  // single-threaded), commit_occupancy by the one command thread.
+  // the threads that run jobs, the workers plus the helping command thread
+  // (1.0 = all of them interrogating the whole time), so it never exceeds
+  // 1.0; commit_occupancy by the one command thread.
   double worker_occupancy = 0;
   double commit_occupancy = 0;
 };

@@ -83,7 +83,7 @@ struct TickPipelineStats {
   std::uint64_t help_runs = 0;
   std::uint64_t commit_stalls = 0; // yields waiting on an unpublished slot
   double wall_us = 0;              // stage 3-5 wall clock
-  double worker_busy_us = 0;       // summed across workers
+  double worker_busy_us = 0;       // summed across workers + help runs
   double commit_busy_us = 0;       // command-thread commit work
 };
 

@@ -43,10 +43,9 @@ Follower::Follower(std::string name, Options options)
 
 bool Follower::Bootstrap(std::string_view snapshot, std::uint64_t lsn) {
   serving_.store(false, std::memory_order_release);
-  // Wipe the previous incarnation's index entries before the journal
-  // resets underneath them.
-  for (const std::string& id : indexed_ids_) index_.Remove(id);
-  indexed_ids_.clear();
+  // Wipe the previous incarnation's index before the journal resets
+  // underneath it.
+  index_.Clear();
   read_side_.cache()->Clear();
   if (!journal_.LoadReplicaSnapshot(snapshot, lsn)) {
     applied_lsn_.store(0, std::memory_order_release);
@@ -54,9 +53,7 @@ bool Follower::Bootstrap(std::string_view snapshot, std::uint64_t lsn) {
   }
   journal_.ForEachEntity(
       [&](std::string_view id, const storage::FieldMap& fields) {
-        if (fields.empty()) return;
-        index_.Index(id, fields);
-        indexed_ids_.insert(std::string(id));
+        if (!fields.empty()) index_.Index(id, fields);
       });
   applied_lsn_.store(lsn, std::memory_order_release);
   bootstraps_.fetch_add(1, std::memory_order_relaxed);
@@ -124,11 +121,10 @@ Follower::IngestResult Follower::Apply(const Shipment& shipment) {
 void Follower::UpdateIndexFor(std::string_view entity) {
   const auto snap = journal_.SnapshotState(entity);
   if (!snap.has_value() || snap->fields.empty()) {
-    if (indexed_ids_.erase(std::string(entity)) > 0) index_.Remove(entity);
+    index_.Remove(entity);  // no-op for a doc that was never indexed
     return;
   }
   index_.Index(entity, snap->fields);
-  indexed_ids_.insert(std::string(entity));
 }
 
 }  // namespace censys::replicate

@@ -22,7 +22,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <string_view>
 
@@ -132,9 +131,6 @@ class Follower {
   pipeline::ReadSide read_side_;
   search::SearchIndex index_;
   search::AnalyticsStore analytics_;
-
-  // Sorted so bootstrap's index wipe visits ids deterministically.
-  std::set<std::string> indexed_ids_;
 
   std::atomic<std::uint64_t> applied_lsn_{0};
   std::atomic<bool> serving_{false};

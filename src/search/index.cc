@@ -51,6 +51,14 @@ void SearchIndex::Remove(std::string_view doc_id) {
   RemoveLocked(doc_id);
 }
 
+void SearchIndex::Clear() {
+  const core::MutexLock lock(mu_);
+  docs_.clear();
+  postings_.clear();
+  field_docs_.clear();
+  docs_metric_.Set(0);
+}
+
 void SearchIndex::RemoveLocked(std::string_view doc_id) {
   const auto it = docs_.find(doc_id);
   if (it == docs_.end()) return;

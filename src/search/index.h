@@ -30,6 +30,8 @@ class SearchIndex {
   // Indexes (or re-indexes) a document.
   void Index(std::string_view doc_id, const storage::FieldMap& fields);
   void Remove(std::string_view doc_id);
+  // Drops every document.
+  void Clear();
 
   // Executes a parsed query; result ids are sorted. Malformed queries (from
   // Search()) return an empty result with *error set. Queries take the
@@ -57,7 +59,7 @@ class SearchIndex {
   DocSet EvalTerm(const QueryNode& term) const CENSYS_REQUIRES_SHARED(mu_);
   static std::vector<std::string> Tokenize(std::string_view value);
 
-  // Writers (Index / Remove) exclusive, queries shared.
+  // Writers (Index / Remove / Clear) exclusive, queries shared.
   mutable core::SharedMutex mu_;
   std::map<std::string, storage::FieldMap, std::less<>> docs_
       CENSYS_GUARDED_BY(mu_);

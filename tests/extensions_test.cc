@@ -1,10 +1,9 @@
 // Tests for the operational-surface modules: the opt-out exclusion list,
-// the certificate store, secondary pivot tables, access tiers, and the
-// snapshot export container.
+// the certificate store, secondary pivot tables, and the snapshot export
+// container.
 #include <gtest/gtest.h>
 
 #include "cert/store.h"
-#include "engines/access.h"
 #include "scan/exclusion.h"
 #include "search/export.h"
 #include "search/pivots.h"
@@ -175,82 +174,6 @@ TEST(PivotIndexTest, RareJarmClusters) {
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_EQ(clusters[0].first, "rare");
   EXPECT_EQ(clusters[0].second, 4u);
-}
-
-// --------------------------------------------------------------------- access
-
-pipeline::HostView MakeViewWithIcsAndVulns() {
-  pipeline::HostView view;
-  view.ip = IPv4Address(1);
-  pipeline::ServiceView http;
-  http.record.key = {IPv4Address(1), 80, Transport::kTcp};
-  http.record.protocol = proto::Protocol::kHttp;
-  http.cves = {"CVE-2021-41773"};
-  http.kev = true;
-  http.record.device = {"Zyxel", "WAC6552D-S"};
-  pipeline::ServiceView modbus;
-  modbus.record.key = {IPv4Address(1), 502, Transport::kTcp};
-  modbus.record.protocol = proto::Protocol::kModbus;
-  view.services = {http, modbus};
-  return view;
-}
-
-TEST(AccessControlTest, PublicTierSeesPresenceOnly) {
-  engines::AccessControl access;
-  const auto filtered =
-      access.Filter(MakeViewWithIcsAndVulns(), engines::AccessTier::kPublic);
-  ASSERT_EQ(filtered.services.size(), 1u);  // ICS removed
-  EXPECT_EQ(filtered.services[0].record.protocol, proto::Protocol::kHttp);
-  EXPECT_TRUE(filtered.services[0].cves.empty());      // vulns redacted
-  EXPECT_FALSE(filtered.services[0].kev);
-  EXPECT_TRUE(filtered.services[0].record.device.manufacturer.empty());
-}
-
-TEST(AccessControlTest, CommercialTierSeesEverything) {
-  engines::AccessControl access;
-  const auto filtered = access.Filter(MakeViewWithIcsAndVulns(),
-                                      engines::AccessTier::kCommercial);
-  EXPECT_EQ(filtered.services.size(), 2u);
-  EXPECT_FALSE(filtered.services[0].cves.empty());
-  EXPECT_FALSE(filtered.services[0].record.device.manufacturer.empty());
-}
-
-TEST(AccessControlTest, QueryVetting) {
-  engines::AccessControl access;
-  EXPECT_FALSE(access.AllowQuery(R"(service.name: "MODBUS")",
-                                 engines::AccessTier::kPublic));
-  EXPECT_FALSE(access.AllowQuery("cve-2023-34362",
-                                 engines::AccessTier::kResearch));
-  EXPECT_TRUE(access.AllowQuery(R"(service.name: "MODBUS")",
-                                engines::AccessTier::kCommercial));
-  EXPECT_TRUE(access.AllowQuery(R"(service.name: "HTTP")",
-                                engines::AccessTier::kPublic));
-}
-
-TEST(AccessControlTest, QuotaEnforcement) {
-  engines::AccessControl access;
-  int allowed = 0;
-  for (int i = 0; i < 100; ++i) {
-    allowed += access.ChargeQuery("anon", engines::AccessTier::kPublic, 5);
-  }
-  EXPECT_EQ(allowed, 50);  // public quota
-  // A new day resets; other users are independent; internal is unlimited.
-  EXPECT_TRUE(access.ChargeQuery("anon", engines::AccessTier::kPublic, 6));
-  EXPECT_TRUE(access.ChargeQuery("other", engines::AccessTier::kPublic, 5));
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(
-        access.ChargeQuery("analyst", engines::AccessTier::kInternal, 5));
-  }
-}
-
-TEST(AccessControlTest, TierDelaysAreMonotone) {
-  // Fresher data for more-vetted tiers.
-  using engines::AccessPolicy;
-  using engines::AccessTier;
-  EXPECT_GT(AccessPolicy::ForTier(AccessTier::kPublic).data_delay,
-            AccessPolicy::ForTier(AccessTier::kResearch).data_delay);
-  EXPECT_GT(AccessPolicy::ForTier(AccessTier::kResearch).data_delay,
-            AccessPolicy::ForTier(AccessTier::kCommercial).data_delay);
 }
 
 // --------------------------------------------------------------------- export

@@ -1,5 +1,5 @@
-// Tests for the scan engine: cyclic-group permutation, rate limiting,
-// discovery passes, and the continuous scheduler.
+// Tests for the scan engine: cyclic-group permutation, discovery passes,
+// and the continuous scheduler.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -7,7 +7,6 @@
 
 #include "scan/cyclic.h"
 #include "scan/discovery.h"
-#include "scan/ratelimit.h"
 #include "scan/scheduler.h"
 #include "simnet/internet.h"
 
@@ -117,32 +116,6 @@ TEST(BackgroundPortSliceTest, NewCycleUsesNewOrder) {
   int same = 0;
   for (std::size_t i = 0; i < 1000; ++i) same += (cycle0[i] == cycle1[i]);
   EXPECT_LT(same, 10);
-}
-
-// ------------------------------------------------------------------ ratelimit
-
-TEST(TokenBucketTest, AccruesOverTime) {
-  TokenBucket bucket(60.0, 120.0);  // 60/min, burst 120
-  bucket.AdvanceTo(Timestamp{0});
-  EXPECT_EQ(bucket.TryAcquire(200), 120u);  // initial burst
-  EXPECT_EQ(bucket.TryAcquire(10), 0u);
-  bucket.AdvanceTo(Timestamp{1});
-  EXPECT_EQ(bucket.TryAcquire(100), 60u);
-}
-
-TEST(TokenBucketTest, CapsAtBurst) {
-  TokenBucket bucket(1000.0, 50.0);
-  bucket.AdvanceTo(Timestamp{0});
-  bucket.AdvanceTo(Timestamp{1000});
-  EXPECT_EQ(bucket.TryAcquire(10000), 50u);
-}
-
-TEST(TokenBucketTest, TimeDoesNotGoBackwards) {
-  TokenBucket bucket(60.0, 60.0);
-  bucket.AdvanceTo(Timestamp{10});
-  bucket.TryAcquire(60);
-  bucket.AdvanceTo(Timestamp{5});  // no-op
-  EXPECT_EQ(bucket.TryAcquire(1), 0u);
 }
 
 // ------------------------------------------------------------------ discovery

@@ -135,6 +135,15 @@ TEST_F(IndexTest, RemoveDropsDocument) {
   EXPECT_EQ(index_.doc_count(), 3u);
 }
 
+TEST_F(IndexTest, ClearDropsEveryDocument) {
+  index_.Clear();
+  EXPECT_EQ(index_.doc_count(), 0u);
+  EXPECT_EQ(index_.term_count(), 0u);
+  EXPECT_TRUE(Run("NOT service.name: HTTP").empty());
+  index_.Index("10.0.0.5", {{"service.name", "HTTP"}});
+  EXPECT_EQ(Run("service.name: http"), (std::vector<std::string>{"10.0.0.5"}));
+}
+
 TEST_F(IndexTest, MalformedQueryReturnsError) {
   std::string error;
   const auto result = index_.Search("(((", &error);
