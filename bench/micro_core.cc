@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the library:
 // the ZMap-style permutation, SHA-256, delta encoding, journal writes,
-// journal reconstruction, search queries, the simulated L4 probe path,
-// the executor thread pool, the metrics instruments, and the full staged
-// engine tick at several thread counts.
+// journal reconstruction, search queries and index updates, the
+// simulated L4 probe path, the executor thread pool, the metrics
+// instruments, and the full staged engine tick at several thread counts.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -131,6 +131,77 @@ void BM_SearchIndexQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SearchIndexQuery);
+
+// A host-like document: `fields` fields over a vocabulary shared across
+// hosts (service names, products, countries) plus per-host tokens; the
+// first `changed` fields carry `version`, so two versions differ there.
+storage::FieldMap HostDocument(int host, int fields, int changed,
+                               int version) {
+  static const char* const kProducts[] = {"nginx", "apache httpd", "openssh",
+                                          "mysql", "microsoft iis"};
+  storage::FieldMap doc;
+  for (int f = 0; f < fields; ++f) {
+    const std::string port = std::to_string(80 + f / 4);
+    const int salt = f < changed ? version : 0;
+    switch (f % 4) {
+      case 0:
+        doc["svc." + port + "/tcp.service.name"] = f % 8 == 0 ? "HTTP" : "SSH";
+        break;
+      case 1:
+        doc["svc." + port + "/tcp.software.product"] =
+            std::string(kProducts[(host + f + salt) % 5]) + " " +
+            std::to_string(1 + salt % 9) + "." + std::to_string(f);
+        break;
+      case 2:
+        doc["svc." + port + "/tcp.banner"] =
+            "Server: build " + std::to_string(host % 997) + " rev " +
+            std::to_string(salt);
+        break;
+      default:
+        doc["svc." + port + "/tcp.location.country"] =
+            (host + salt) % 3 == 0 ? "US" : "DE";
+        break;
+    }
+  }
+  return doc;
+}
+
+std::string HostId(int host) {
+  return "10." + std::to_string(host >> 16) + "." +
+         std::to_string((host >> 8) & 255) + "." + std::to_string(host & 255);
+}
+
+// One Index call into a ~30K-document index: Arg(0) a first-time
+// 16-field document, Arg(1) a re-index of a 56-field document whose new
+// version changes 16 fields — the two kinds of follower index update.
+void BM_SearchIndexIndex(benchmark::State& state) {
+  constexpr int kHosts = 30000;
+  const bool reindex = state.range(0) == 1;
+  const int fields = reindex ? 56 : 16;
+  search::SearchIndex index;
+  for (int h = 0; h < kHosts; ++h) {
+    index.Index(HostId(h), HostDocument(h, fields, 16, 0));
+  }
+  std::vector<storage::FieldMap> versions;
+  for (int v = 0; v < 8; ++v) {
+    versions.push_back(HostDocument(kHosts, fields, 16, v));
+  }
+  const std::string fresh = HostId(kHosts);
+  if (reindex) index.Index(fresh, versions[0]);
+  int version = 0;
+  for (auto _ : state) {
+    version = (version + 1) % 8;
+    if (!reindex) {
+      state.PauseTiming();
+      index.Remove(fresh);
+      state.ResumeTiming();
+    }
+    index.Index(fresh, versions[static_cast<std::size_t>(version)]);
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(reindex ? "re-index" : "first-time");
+}
+BENCHMARK(BM_SearchIndexIndex)->Arg(0)->Arg(1);
 
 void BM_L4Probe(benchmark::State& state) {
   simnet::UniverseConfig cfg;

@@ -59,7 +59,7 @@ SAN_TESTS=(
   "serving_test:"
   "storage_test:JournalConcurrencyTest.*:Wal*"
   "pipeline_test:ReadSideTest.LookupsRunConcurrentlyWithIngest"
-  "search_test:IndexConcurrencyTest.*"
+  "search_test:IndexTest.*:IndexConcurrencyTest.*"
   "engines_test:WorldDeterminismTest.Parallel*:WorldDeterminismTest.GroupCommit*:TickReportTest.*"
   "core_test:ExecutorTest.*:FaultInjectorTest.*:Crc32cTest.*"
   "failure_injection_test:WalTortureTest.*:WalFaultTest.*:TickPipelineFaultTest.*"

@@ -5,26 +5,38 @@
 // phrase queries narrow via the index where possible and post-filter
 // against the stored document. NOT is evaluated against the full document
 // universe, exactly like a boolean filter context.
+//
+// Like Lucene under Elasticsearch, the index works on dense uint32 doc
+// ids: a dictionary maps each string id to one (freed ids are reused),
+// terms "field\x1fword" and "\x1fword" (any field) are hash-interned to
+// term ids, and each term's posting is a Roaring-style PostingList. AND,
+// OR and NOT are merges over ascending id vectors; answers map back to
+// string ids, sorted. Re-indexing a document diffs the new field map
+// against the stored copy and touches only the tokens that appear in or
+// vanish from a changed field; per-document counts of the fields holding
+// each word keep the any-field postings exact.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/metrics.h"
 #include "core/thread_safety.h"
+#include "search/postings.h"
 #include "search/query.h"
 #include "storage/delta.h"
 
 namespace censys::search {
 
-// Concurrency: one reader/writer lock guards the document store and both
-// posting maps. Writers (Index / Remove) take it exclusively; queries and
-// size probes share it, so the serving frontend can search from many
-// threads concurrently with a rebuild.
+// Concurrency: one reader/writer lock guards the documents, the
+// dictionaries and every posting. Writers (Index / Remove / Clear) take it
+// exclusively; queries and size probes share it, so the serving frontend
+// can search from many threads concurrently with a rebuild.
 class SearchIndex {
  public:
   // Indexes (or re-indexes) a document.
@@ -52,22 +64,78 @@ class SearchIndex {
   void BindMetrics(metrics::Registry* registry);
 
  private:
-  using DocSet = std::set<std::string>;
+  using DocId = std::uint32_t;
+  using TermId = std::uint32_t;
+  using DocIds = std::vector<DocId>;  // ascending
+
+  // String-keyed hash map with string_view lookups.
+  struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  template <typename V>
+  using StringMap =
+      std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
+
+  struct Doc {
+    DocId id = 0;
+    storage::FieldMap fields;
+    // (any-field term, number of this document's fields holding the
+    // word), ascending by term: the word leaves the "\x1fword" posting
+    // when its count reaches zero.
+    std::vector<std::pair<TermId, std::uint32_t>> any_counts;
+  };
+  using DocEntry = StringMap<Doc>::value_type;
+  struct Term {
+    const std::string* text = nullptr;  // key in term_ids_; null when free
+    PostingList docs;
+  };
 
   void RemoveLocked(std::string_view doc_id) CENSYS_REQUIRES(mu_);
-  DocSet EvalNode(const QueryPtr& node) const CENSYS_REQUIRES_SHARED(mu_);
-  DocSet EvalTerm(const QueryNode& term) const CENSYS_REQUIRES_SHARED(mu_);
-  static std::vector<std::string> Tokenize(std::string_view value);
+  // Brings `doc` (its postings, field presence and stored fields) to
+  // exactly `fields`, touching only the fields whose values differ.
+  void UpdateLocked(Doc& doc, const storage::FieldMap& fields)
+      CENSYS_REQUIRES(mu_);
+  // Moves one field of `doc` from value `before` to `after` (either may
+  // be empty): only tokens in one value and not the other change.
+  void RetokenizeLocked(Doc& doc, const std::string& field,
+                        std::string_view before, std::string_view after)
+      CENSYS_REQUIRES(mu_);
+  // Adds / drops one word of one field: `key` is "field\x1fword", whose
+  // suffix from `field_len` is the any-field term "\x1fword".
+  void AddWordLocked(Doc& doc, std::string_view key, std::size_t field_len)
+      CENSYS_REQUIRES(mu_);
+  void DropWordLocked(Doc& doc, std::string_view key, std::size_t field_len)
+      CENSYS_REQUIRES(mu_);
+  TermId InternLocked(std::string_view key) CENSYS_REQUIRES(mu_);
+  // Removes `doc` from term `term`'s posting, freeing the term when it
+  // empties.
+  void ErasePostingLocked(TermId term, DocId doc) CENSYS_REQUIRES(mu_);
+
+  DocIds EvalNode(const QueryPtr& node) const CENSYS_REQUIRES_SHARED(mu_);
+  DocIds EvalTerm(const QueryNode& term) const CENSYS_REQUIRES_SHARED(mu_);
+  DocIds AllDocs() const CENSYS_REQUIRES_SHARED(mu_);
+  const PostingList* FindPosting(std::string_view key) const
+      CENSYS_REQUIRES_SHARED(mu_);
+  // String ids of `matches`, sorted.
+  std::vector<std::string> Names(const DocIds& matches) const
+      CENSYS_REQUIRES_SHARED(mu_);
 
   // Writers (Index / Remove / Clear) exclusive, queries shared.
   mutable core::SharedMutex mu_;
-  std::map<std::string, storage::FieldMap, std::less<>> docs_
-      CENSYS_GUARDED_BY(mu_);
-  // token -> doc ids. Tokens are "field\x1fword" plus "\x1fword" (any-field).
-  std::map<std::string, DocSet, std::less<>> postings_ CENSYS_GUARDED_BY(mu_);
-  // field -> doc ids that have the field (accelerates wildcard terms).
-  std::map<std::string, DocSet, std::less<>> field_docs_
-      CENSYS_GUARDED_BY(mu_);
+  StringMap<Doc> docs_ CENSYS_GUARDED_BY(mu_);
+  // Dense id -> its entry in docs_ (null when free); node pointers are
+  // stable across rehashes.
+  std::vector<const DocEntry*> slots_ CENSYS_GUARDED_BY(mu_);
+  std::vector<DocId> free_docs_ CENSYS_GUARDED_BY(mu_);
+  // "field\x1fword" and "\x1fword" -> term id.
+  StringMap<TermId> term_ids_ CENSYS_GUARDED_BY(mu_);
+  std::vector<Term> terms_ CENSYS_GUARDED_BY(mu_);
+  std::vector<TermId> free_terms_ CENSYS_GUARDED_BY(mu_);
+  // field -> docs that have the field (accelerates wildcard terms).
+  StringMap<PostingList> field_docs_ CENSYS_GUARDED_BY(mu_);
 
   metrics::GaugeHandle docs_metric_;
   metrics::CounterHandle indexed_metric_;

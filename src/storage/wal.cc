@@ -55,17 +55,20 @@ void SetError(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
 }
 
-// Reads a whole file; returns false on open/read failure.
-bool ReadFile(const std::string& path, std::string* out, std::string* error) {
+// Reads `length` bytes at `offset` into *out; a file that ends early
+// leaves *out short (the frame check then sees a torn frame).
+bool ReadRange(const std::string& path, std::uint64_t offset,
+               std::uint64_t length, std::string* out, std::string* error) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     SetError(error, path + ": " + std::strerror(errno));
     return false;
   }
-  out->clear();
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
+  out->resize(length);
+  std::size_t got = 0;
+  while (got < length) {
+    const ssize_t n = ::pread(fd, out->data() + got, length - got,
+                              static_cast<off_t>(offset + got));
     if (n < 0) {
       if (errno == EINTR) continue;
       SetError(error, path + ": " + std::strerror(errno));
@@ -73,10 +76,68 @@ bool ReadFile(const std::string& path, std::string* out, std::string* error) {
       return false;
     }
     if (n == 0) break;
-    out->append(buf, static_cast<std::size_t>(n));
+    got += static_cast<std::size_t>(n);
   }
   ::close(fd);
+  out->resize(got);
   return true;
+}
+
+// Reads a whole file; returns false on open/read failure.
+bool ReadFile(const std::string& path, std::string* out, std::string* error) {
+  std::error_code ec;
+  const std::uintmax_t size = fs::file_size(path, ec);
+  if (ec) {
+    SetError(error, path + ": " + ec.message());
+    return false;
+  }
+  return ReadRange(path, 0, size, out, error);
+}
+
+enum class FrameStatus { kWhole, kTorn, kCorrupt };
+
+// Checks the frame starting at data[offset]: a frame that does not fit in
+// `data` is torn. The read-path injection point fires once per frame
+// that fits, simulating media errors on its bytes — a bit flip lands in
+// `data`, an unreadable sector makes the frame corrupt. On kWhole,
+// *payload views the CRC-checked payload.
+FrameStatus CheckFrame(std::string& data, std::size_t offset,
+                       std::string_view* payload) {
+  if (offset + kFrameHeader > data.size()) return FrameStatus::kTorn;
+  const std::uint32_t len = GetU32Le(data.data() + offset);
+  const std::uint32_t stored_crc = GetU32Le(data.data() + offset + 4);
+  if (offset + kFrameHeader + len > data.size()) return FrameStatus::kTorn;
+
+  if (const auto fault = fault::Hit("storage.wal.read")) {
+    switch (fault->mode) {
+      case fault::Mode::kCrash:
+        throw fault::CrashException{"storage.wal.read"};
+      case fault::Mode::kErrorReturn:
+      case fault::Mode::kStall:
+        // Unreadable sector: everything from here on is lost.
+        return FrameStatus::kCorrupt;
+      default: {
+        // Any corruption mode: one bit of this record's bytes flips.
+        const std::size_t span = (kFrameHeader + len) * 8;
+        const std::size_t bit = fault->bit % span;
+        data[offset + bit / 8] ^= static_cast<char>(1u << (bit % 8));
+        break;
+      }
+    }
+  }
+
+  // Re-read the header: a bit flip may have landed in it.
+  const std::uint32_t len2 = GetU32Le(data.data() + offset);
+  const std::uint32_t crc2 = GetU32Le(data.data() + offset + 4);
+  if (len2 != len || offset + kFrameHeader + len2 > data.size()) {
+    return FrameStatus::kCorrupt;
+  }
+  *payload = std::string_view(data.data() + offset + kFrameHeader, len2);
+  if (core::Crc32c(*payload) != crc2 ||
+      (crc2 != stored_crc && core::Crc32c(*payload) != stored_crc)) {
+    return FrameStatus::kCorrupt;
+  }
+  return FrameStatus::kWhole;
 }
 
 }  // namespace
@@ -135,6 +196,13 @@ void WriteAheadLog::BindMetrics(metrics::Registry* registry) {
       metrics::BindCounter(registry, "censys.storage.wal.truncated_bytes");
   replayed_metric_ =
       metrics::BindCounter(registry, "censys.storage.wal.replayed");
+  tail_bytes_metric_ =
+      metrics::BindCounter(registry, "censys.storage.wal.tail_bytes");
+}
+
+void WriteAheadLog::Segment::TruncateTo(std::uint64_t length) {
+  bytes = length;
+  while (!frames.empty() && frames.back().offset >= length) frames.pop_back();
 }
 
 std::string WriteAheadLog::SegmentPath(std::uint64_t index) const {
@@ -174,75 +242,35 @@ std::vector<std::uint64_t> WriteAheadLog::ListSegmentIndexes() const {
 }
 
 bool WriteAheadLog::ScanSegment(
-    const std::string& path, bool truncate,
+    const std::string& path,
     const std::function<void(const WalRecord&)>& visit, ReplayStats* stats,
-    std::uint64_t* valid_bytes, std::string* error) {
+    Segment* segment, std::string* error) {
   std::string data;
   if (!ReadFile(path, &data, error)) return false;
 
   std::size_t offset = 0;
-  bool corrupt = false;
-  while (offset + kFrameHeader <= data.size()) {
-    const std::uint32_t len = GetU32Le(data.data() + offset);
-    const std::uint32_t stored_crc = GetU32Le(data.data() + offset + 4);
-    if (offset + kFrameHeader + len > data.size()) break;  // torn tail
-
-    // The read-path injection point: a fault here simulates media errors
-    // on this record's bytes.
-    if (const auto fault = fault::Hit("storage.wal.read")) {
-      switch (fault->mode) {
-        case fault::Mode::kCrash:
-          throw fault::CrashException{"storage.wal.read"};
-        case fault::Mode::kErrorReturn:
-        case fault::Mode::kStall:
-          // Unreadable sector: everything from here on is lost.
-          corrupt = true;
-          break;
-        default: {
-          // Any corruption mode: one bit of this record's bytes flips.
-          const std::size_t span = (kFrameHeader + len) * 8;
-          const std::size_t bit = fault->bit % span;
-          data[offset + bit / 8] ^= static_cast<char>(1u << (bit % 8));
-          break;
-        }
-      }
-      if (corrupt) break;
-    }
-
-    // Re-read the header: a bit flip may have landed in it.
-    const std::uint32_t len2 = GetU32Le(data.data() + offset);
-    const std::uint32_t crc2 = GetU32Le(data.data() + offset + 4);
-    if (len2 != len || offset + kFrameHeader + len2 > data.size()) {
-      corrupt = true;
-      break;
-    }
-    const std::string_view payload(data.data() + offset + kFrameHeader, len2);
-    if (core::Crc32c(payload) != crc2 ||
-        (crc2 != stored_crc && core::Crc32c(payload) != stored_crc)) {
-      corrupt = true;
-      break;
-    }
+  std::string_view payload;
+  FrameStatus status;
+  while ((status = CheckFrame(data, offset, &payload)) == FrameStatus::kWhole) {
     const auto record = DecodeWalPayload(payload);
     if (!record.has_value()) {
-      corrupt = true;
+      status = FrameStatus::kCorrupt;
       break;
     }
+    if (segment != nullptr) segment->frames.push_back({record->lsn, offset});
     if (visit) visit(*record);
     if (stats != nullptr) ++stats->records;
-    offset += kFrameHeader + len2;
+    offset += kFrameHeader + payload.size();
   }
+  if (segment != nullptr) segment->bytes = offset;
 
   const std::uint64_t file_size = data.size();
-  *valid_bytes = offset;
   if (offset < file_size) {
+    const bool corrupt = status == FrameStatus::kCorrupt;
     if (stats != nullptr) {
       stats->truncated_bytes += file_size - offset;
       if (corrupt) ++stats->corrupt_records;
     }
-    // Read-only scans (tail shipping) report the torn tail but leave the
-    // file alone: the writer may still be appending the very frame this
-    // reader saw half of.
-    if (!truncate) return true;
     // Torn or corrupt tail: truncate the file to the last whole record so
     // future appends land on a record boundary.
     truncated_bytes_.fetch_add(file_size - offset, std::memory_order_relaxed);
@@ -278,7 +306,6 @@ bool WriteAheadLog::OpenLocked(std::string* error) {
 
   segments_.clear();
   const std::vector<std::uint64_t> indexes = ListSegmentIndexes();
-  std::uint64_t tail_offset = 0;
   bool log_cut = false;
   for (const std::uint64_t index : indexes) {
     if (log_cut) {
@@ -297,30 +324,23 @@ bool WriteAheadLog::OpenLocked(std::string* error) {
     Segment segment;
     segment.index = index;
     ReplayStats stats;
-    std::uint64_t valid_bytes = 0;
     const bool ok = ScanSegment(
-        SegmentPath(index), /*truncate=*/true,
+        SegmentPath(index),
         [&](const WalRecord& record) {
-          if (segment.first_lsn == 0) segment.first_lsn = record.lsn;
           const std::uint64_t next =
               next_lsn_.load(std::memory_order_relaxed);
           if (record.lsn >= next) {
             next_lsn_.store(record.lsn + 1, std::memory_order_relaxed);
           }
         },
-        &stats, &valid_bytes, error);
+        &stats, &segment, error);
     if (!ok) return false;
     if (stats.truncated_bytes > 0) log_cut = true;
-    tail_offset = valid_bytes;
-    segments_.push_back(segment);
+    segments_.push_back(std::move(segment));
   }
-  if (segments_.empty()) {
-    Segment segment;
-    segment.index = 0;
-    segments_.push_back(segment);
-    tail_offset = 0;
-  }
+  if (segments_.empty()) segments_.emplace_back();
 
+  const std::uint64_t tail_offset = segments_.back().bytes;
   const std::string active = SegmentPath(segments_.back().index);
   fd_ = ::open(active.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd_ < 0) {
@@ -331,7 +351,6 @@ bool WriteAheadLog::OpenLocked(std::string* error) {
     SetError(error, active + ": " + std::strerror(errno));
     return false;
   }
-  segment_offset_ = tail_offset;
   opened_ = true;
   return true;
 }
@@ -385,7 +404,6 @@ bool WriteAheadLog::RotateLocked(std::string* error) {
     return false;
   }
   segments_.push_back(segment);
-  segment_offset_ = 0;
   rotations_.fetch_add(1, std::memory_order_relaxed);
   rotations_metric_.Add();
   return true;
@@ -428,23 +446,22 @@ bool WriteAheadLog::Append(WalRecord& record, std::string* error) {
     }
   }
 
-  if (segment_offset_ > 0 &&
-      segment_offset_ + frame.size() > options_.segment_bytes) {
+  if (segments_.back().bytes > 0 &&
+      segments_.back().bytes + frame.size() > options_.segment_bytes) {
     if (!RotateLocked(error)) return false;
   }
   if (!WriteAllLocked(frame.data(), frame.size(), error)) return false;
-  segment_offset_ += frame.size();
-  if (segments_.back().first_lsn == 0) {
-    segments_.back().first_lsn = record.lsn;
-  }
+  Segment& segment = segments_.back();
+  segment.frames.push_back({record.lsn, segment.bytes});
+  segment.bytes += frame.size();
   if (options_.fsync_each) {
     if (!SyncLocked(error)) {
       // The bytes may or may not be durable; withdraw them so the
       // in-memory journal (which will not apply this event) and the log
       // cannot diverge.
-      segment_offset_ -= frame.size();
-      ::ftruncate(fd_, static_cast<off_t>(segment_offset_));
-      ::lseek(fd_, static_cast<off_t>(segment_offset_), SEEK_SET);
+      segment.TruncateTo(segment.bytes - frame.size());
+      ::ftruncate(fd_, static_cast<off_t>(segment.bytes));
+      ::lseek(fd_, static_cast<off_t>(segment.bytes), SEEK_SET);
       return false;
     }
   }
@@ -472,6 +489,8 @@ bool WriteAheadLog::AppendBatch(std::vector<WalRecord>& records,
   // recovery truncates back to a record boundary.
   const std::uint64_t first_lsn = next_lsn_.load(std::memory_order_relaxed);
   std::string buffer;
+  std::vector<std::uint64_t> frame_starts;  // offsets within `buffer`
+  frame_starts.reserve(records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     records[i].lsn = first_lsn + i;
     std::string frame = Frame(EncodeWalPayload(records[i]));
@@ -502,24 +521,26 @@ bool WriteAheadLog::AppendBatch(std::vector<WalRecord>& records,
         }
       }
     }
+    frame_starts.push_back(buffer.size());
     buffer += frame;
   }
 
-  if (segment_offset_ > 0 &&
-      segment_offset_ + buffer.size() > options_.segment_bytes) {
+  if (segments_.back().bytes > 0 &&
+      segments_.back().bytes + buffer.size() > options_.segment_bytes) {
     if (!RotateLocked(error)) return false;
   }
   if (!WriteAllLocked(buffer.data(), buffer.size(), error)) return false;
-  segment_offset_ += buffer.size();
-  if (segments_.back().first_lsn == 0) {
-    segments_.back().first_lsn = first_lsn;
+  Segment& segment = segments_.back();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    segment.frames.push_back({first_lsn + i, segment.bytes + frame_starts[i]});
   }
+  segment.bytes += buffer.size();
   if (options_.fsync_each) {
     // One fsync for the whole batch — the point of group commit.
     if (!SyncLocked(error)) {
-      segment_offset_ -= buffer.size();
-      ::ftruncate(fd_, static_cast<off_t>(segment_offset_));
-      ::lseek(fd_, static_cast<off_t>(segment_offset_), SEEK_SET);
+      segment.TruncateTo(segment.bytes - buffer.size());
+      ::ftruncate(fd_, static_cast<off_t>(segment.bytes));
+      ::lseek(fd_, static_cast<off_t>(segment.bytes), SEEK_SET);
       return false;
     }
   }
@@ -540,53 +561,48 @@ bool WriteAheadLog::Sync(std::string* error) {
   return SyncLocked(error);
 }
 
-bool WriteAheadLog::ScanRange(
-    std::uint64_t from_lsn, std::uint64_t end_lsn, std::size_t max_records,
-    bool truncate, const std::function<void(const WalRecord&)>& visit,
-    ReplayStats* stats, std::string* error) {
-  std::vector<Segment> segments;
+bool WriteAheadLog::Replay(
+    std::uint64_t from_lsn,
+    const std::function<void(const WalRecord&)>& visit, ReplayStats* stats,
+    std::string* error) {
+  TRACE_SPAN("storage", "wal.replay");
+  std::vector<std::uint64_t> indexes;
+  std::size_t skip_below = 0;  // segments before this one are covered
   {
     const core::MutexLock lock(mu_);
     if (!opened_ && !OpenLocked(error)) return false;
-    segments = segments_;
+    for (std::size_t i = 0; i < segments_.size(); ++i) {
+      indexes.push_back(segments_[i].index);
+      // A segment is fully covered by from_lsn when its successor's first
+      // record — which bounds every lsn it holds — is already at or below
+      // from_lsn + 1. Open() scanned these files once; skipping them here
+      // is what removed Recover()'s duplicate segment open.
+      if (i + 1 < segments_.size() && segments_[i + 1].first_lsn() != 0 &&
+          segments_[i + 1].first_lsn() <= from_lsn + 1) {
+        skip_below = i + 1;
+      }
+    }
   }
-  // The scan itself runs unlocked. The recovery path is startup-only (it
-  // must not race Append), and the journal's visitor re-enters the shard
-  // locks — holding mu_ across it would invert the shard-lock -> wal-lock
-  // order the append path establishes. Read-only tail scans tolerate a
-  // racing appender by construction (a half-written final frame just ends
-  // the scan).
+  // The scan itself runs unlocked: recovery is startup-only (it must not
+  // race Append), and the journal's visitor re-enters the shard locks —
+  // holding mu_ across it would invert the shard-lock -> wal-lock order
+  // the append path establishes.
   ReplayStats local;
   ReplayStats* out = stats != nullptr ? stats : &local;
-  bool done = false;
-  for (std::size_t i = 0; i < segments.size() && !done; ++i) {
-    // A segment is fully covered by from_lsn when its successor's first
-    // record — which bounds every lsn it holds — is already at or below
-    // from_lsn + 1. Open() scanned these files once; skipping them here
-    // is what removed Recover()'s duplicate segment open.
-    if (i + 1 < segments.size() && segments[i + 1].first_lsn != 0 &&
-        segments[i + 1].first_lsn <= from_lsn + 1) {
-      continue;
-    }
-    std::uint64_t valid_bytes = 0;
+  for (std::size_t i = skip_below; i < indexes.size(); ++i) {
     ReplayStats scan;
     const bool ok = ScanSegment(
-        SegmentPath(segments[i].index), truncate,
+        SegmentPath(indexes[i]),
         [&](const WalRecord& record) {
-          if (done) return;
           if (record.lsn <= from_lsn) {
             ++out->skipped;
             return;
           }
-          if (record.lsn > end_lsn ||
-              (max_records > 0 && out->records >= max_records)) {
-            done = true;
-            return;
-          }
           ++out->records;
+          replayed_metric_.Add();
           if (visit) visit(record);
         },
-        &scan, &valid_bytes, error);
+        &scan, nullptr, error);
     if (!ok) return false;
     out->corrupt_records += scan.corrupt_records;
     out->truncated_bytes += scan.truncated_bytes;
@@ -595,32 +611,77 @@ bool WriteAheadLog::ScanRange(
   return true;
 }
 
-bool WriteAheadLog::Replay(
-    std::uint64_t from_lsn,
-    const std::function<void(const WalRecord&)>& visit, ReplayStats* stats,
-    std::string* error) {
-  TRACE_SPAN("storage", "wal.replay");
-  return ScanRange(from_lsn, std::numeric_limits<std::uint64_t>::max(), 0,
-                   /*truncate=*/true,
-                   [&](const WalRecord& record) {
-                     replayed_metric_.Add();
-                     if (visit) visit(record);
-                   },
-                   stats, error);
-}
-
 bool WriteAheadLog::ReadTail(std::uint64_t from_lsn, std::uint64_t end_lsn,
                              std::size_t max_records,
                              std::vector<WalRecord>* out, std::string* error) {
-  return ScanRange(from_lsn, end_lsn, max_records, /*truncate=*/false,
-                   [&](const WalRecord& record) { out->push_back(record); },
-                   nullptr, error);
+  TRACE_SPAN("storage", "wal.read_tail");
+  // Under the lock, the frame indexes give the exact byte range of every
+  // frame to ship; the reads run unlocked. Appends only add frames past
+  // those ranges, and a checkpoint that prunes a planned segment makes
+  // its open fail.
+  struct Range {
+    std::uint64_t segment = 0;
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+    std::size_t frames = 0;
+  };
+  std::vector<Range> ranges;
+  {
+    const core::MutexLock lock(mu_);
+    if (!opened_ && !OpenLocked(error)) return false;
+    std::size_t budget =
+        max_records == 0 ? std::numeric_limits<std::size_t>::max()
+                         : max_records;
+    const auto lsn_less = [](std::uint64_t lsn, const FrameRef& frame) {
+      return lsn < frame.lsn;
+    };
+    for (const Segment& segment : segments_) {
+      if (budget == 0) break;
+      const std::vector<FrameRef>& frames = segment.frames;
+      const auto first = std::upper_bound(frames.begin(), frames.end(),
+                                          from_lsn, lsn_less);
+      const auto last = std::upper_bound(first, frames.end(), end_lsn,
+                                         lsn_less);
+      if (last != frames.end() && first == last) break;  // past end_lsn
+      const std::size_t n =
+          std::min<std::size_t>(static_cast<std::size_t>(last - first),
+                                budget);
+      if (n == 0) continue;
+      const auto stop = first + static_cast<std::ptrdiff_t>(n);
+      ranges.push_back({segment.index, first->offset,
+                        stop == frames.end() ? segment.bytes : stop->offset,
+                        n});
+      budget -= n;
+    }
+  }
+
+  std::string data;
+  for (const Range& range : ranges) {
+    if (!ReadRange(SegmentPath(range.segment), range.begin,
+                   range.end - range.begin, &data, error)) {
+      return false;
+    }
+    tail_bytes_.fetch_add(data.size(), std::memory_order_relaxed);
+    tail_bytes_metric_.Add(data.size());
+    std::size_t offset = 0;
+    for (std::size_t i = 0; i < range.frames; ++i) {
+      std::string_view payload;
+      if (CheckFrame(data, offset, &payload) != FrameStatus::kWhole) {
+        return true;  // a torn or corrupt frame ends the read
+      }
+      auto record = DecodeWalPayload(payload);
+      if (!record.has_value()) return true;
+      out->push_back(std::move(*record));
+      offset += kFrameHeader + payload.size();
+    }
+  }
+  return true;
 }
 
 std::uint64_t WriteAheadLog::oldest_lsn() const {
   const core::MutexLock lock(mu_);
   for (const Segment& segment : segments_) {
-    if (segment.first_lsn != 0) return segment.first_lsn;
+    if (segment.first_lsn() != 0) return segment.first_lsn();
   }
   return 0;
 }
@@ -734,7 +795,7 @@ void WriteAheadLog::RemoveSegmentsBelowLocked(std::uint64_t lsn) {
   // which bounds every lsn it holds — is already covered by `lsn`.
   while (segments_.size() > 1) {
     const Segment& next = segments_[1];
-    if (next.first_lsn == 0 || next.first_lsn > lsn + 1) break;
+    if (next.first_lsn() == 0 || next.first_lsn() > lsn + 1) break;
     std::error_code ec;
     fs::remove(SegmentPath(segments_.front().index), ec);
     segments_.erase(segments_.begin());

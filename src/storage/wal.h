@@ -26,15 +26,24 @@
 // LSNs are assigned contiguously from 1 by Append; a checkpoint file
 // carries the LSN it covers, so replay starts strictly after it.
 //
+// Every segment keeps an in-memory LSN -> byte-offset index of its whole
+// frames, built as frames are appended and rebuilt by Open()'s recovery
+// scan. Tail reads for replication use it to pread exactly the frames they
+// ship, so a read costs what it returns whatever the segment's size; only
+// recovery (Open, Replay) reads whole segments.
+//
 // Fault injection points (core/fault.h): "storage.wal.append" (record and
 // checkpoint writes; error-return / torn-write / bit-flip / crash),
-// "storage.wal.fsync" (error-return / crash), "storage.wal.read" (replay:
-// bit-flip / error-return / crash). Torn writes and crashes throw
-// fault::CrashException, the SIGKILL stand-in the torture tests catch.
+// "storage.wal.fsync" (error-return / crash), "storage.wal.read" (once per
+// frame read by replay or a tail read: bit-flip / error-return / crash).
+// Torn writes and crashes throw fault::CrashException, the SIGKILL
+// stand-in the torture tests catch.
 //
-// Concurrency: one mutex serializes Append/Sync/rotation and LSN
-// assignment; journal shards may append concurrently. Replay/Open are
-// startup-only and must not race appends. Counters are relaxed atomics.
+// Concurrency: one mutex serializes Append/Sync/rotation, LSN assignment
+// and the segment indexes; journal shards may append concurrently.
+// Replay/Open are startup-only and must not race appends. ReadTail locates
+// its frames under the mutex and reads them outside it, so it may run
+// concurrently with appends. Counters are relaxed atomics.
 #pragma once
 
 #include <atomic>
@@ -132,12 +141,15 @@ class WriteAheadLog {
 
   // Read-only tail iterator for replication shipping: appends every valid
   // record with from_lsn < lsn <= end_lsn, in log order, to `out`
-  // (`max_records` bounds the batch; 0 = unbounded). Unlike Open/Replay
-  // this NEVER mutates the log — a torn or corrupt tail just ends the
-  // read at the last whole record, so a reader can tail a log that a
-  // writer is still appending to. Returns false only on unrecoverable
-  // I/O errors (e.g. a segment pruned mid-read by a checkpoint; the
-  // caller re-checks oldest_lsn and re-bootstraps).
+  // (`max_records` bounds the batch; 0 = unbounded). The segment indexes
+  // locate the requested frames, which are pread, CRC-checked and decoded
+  // alone: frames below the window are neither read nor re-validated, and
+  // bytes past the last whole appended frame (a writer's half-written
+  // frame) are never looked at. Unlike Open/Replay this NEVER mutates the
+  // log — a frame that fails its CRC or decode just ends the read at the
+  // last whole record. Returns false only on unrecoverable I/O errors
+  // (e.g. a segment pruned mid-read by a checkpoint; the caller re-checks
+  // oldest_lsn and re-bootstraps).
   bool ReadTail(std::uint64_t from_lsn, std::uint64_t end_lsn,
                 std::size_t max_records, std::vector<WalRecord>* out,
                 std::string* error);
@@ -208,15 +220,34 @@ class WriteAheadLog {
   std::uint64_t corrupt_records() const {
     return corrupt_records_.load(std::memory_order_relaxed);
   }
+  // Bytes ReadTail has read from segment files.
+  std::uint64_t tail_bytes() const {
+    return tail_bytes_.load(std::memory_order_relaxed);
+  }
   const Options& options() const { return options_; }
 
   // Registers censys.storage.wal.* instruments.
   void BindMetrics(metrics::Registry* registry);
 
  private:
+  // Where one whole frame starts in its segment file.
+  struct FrameRef {
+    std::uint64_t lsn = 0;
+    std::uint64_t offset = 0;
+  };
   struct Segment {
     std::uint64_t index = 0;
-    std::uint64_t first_lsn = 0;  // first lsn appended to this segment
+    // Length of the whole frames written so far; appends go here.
+    std::uint64_t bytes = 0;
+    // Every whole frame in file order (LSNs ascend): the LSN -> offset
+    // index tail reads seek with.
+    std::vector<FrameRef> frames;
+
+    std::uint64_t first_lsn() const {
+      return frames.empty() ? 0 : frames.front().lsn;
+    }
+    // Withdraws frames past `length` (a failed fsync took them back).
+    void TruncateTo(std::uint64_t length);
   };
 
   std::string SegmentPath(std::uint64_t index) const;
@@ -226,21 +257,12 @@ class WriteAheadLog {
   bool SyncLocked(std::string* error) CENSYS_REQUIRES(mu_);
   bool WriteAllLocked(const void* data, std::size_t n, std::string* error)
       CENSYS_REQUIRES(mu_);
-  // Scans one segment file, delivering valid records. With `truncate`
-  // set (the recovery paths), the file is cut back to the last whole
-  // record and the truncation counters advance; without it (read-only
-  // tail reads), an invalid record just stops the scan. Returns the
-  // file's valid byte length.
-  bool ScanSegment(const std::string& path, bool truncate,
+  // Recovery scan of one whole segment file: delivers valid records, cuts
+  // the file back to the last whole record and advances the truncation
+  // counters. With `segment` set, rebuilds its frame index and length.
+  bool ScanSegment(const std::string& path,
                    const std::function<void(const WalRecord&)>& visit,
-                   ReplayStats* stats, std::uint64_t* valid_bytes,
-                   std::string* error);
-  // Shared walk behind Replay and ReadTail: segments fully covered by
-  // from_lsn are skipped, delivery stops past end_lsn / max_records.
-  bool ScanRange(std::uint64_t from_lsn, std::uint64_t end_lsn,
-                 std::size_t max_records, bool truncate,
-                 const std::function<void(const WalRecord&)>& visit,
-                 ReplayStats* stats, std::string* error);
+                   ReplayStats* stats, Segment* segment, std::string* error);
   std::vector<std::uint64_t> ListSegmentIndexes() const;
   void RemoveSegmentsBelowLocked(std::uint64_t lsn) CENSYS_REQUIRES(mu_);
 
@@ -249,7 +271,6 @@ class WriteAheadLog {
   mutable core::Mutex mu_;
   int fd_ CENSYS_GUARDED_BY(mu_) = -1;
   bool opened_ CENSYS_GUARDED_BY(mu_) = false;
-  std::uint64_t segment_offset_ CENSYS_GUARDED_BY(mu_) = 0;
   // Open segments in index order; back() is the active one.
   std::vector<Segment> segments_ CENSYS_GUARDED_BY(mu_);
 
@@ -263,6 +284,7 @@ class WriteAheadLog {
   std::atomic<std::uint64_t> segments_removed_{0};
   std::atomic<std::uint64_t> truncated_bytes_{0};
   std::atomic<std::uint64_t> corrupt_records_{0};
+  std::atomic<std::uint64_t> tail_bytes_{0};
 
   metrics::CounterHandle appends_metric_;
   metrics::CounterHandle batch_appends_metric_;
@@ -272,6 +294,7 @@ class WriteAheadLog {
   metrics::CounterHandle checkpoints_metric_;
   metrics::CounterHandle truncations_metric_;
   metrics::CounterHandle replayed_metric_;
+  metrics::CounterHandle tail_bytes_metric_;
 };
 
 }  // namespace censys::storage

@@ -45,9 +45,15 @@ TEST(DslParseTest, StringEscapes) {
 }
 
 struct EvalCase {
+  const char* label;
   const char* source;
   bool expected;
 };
+
+// ctest names value-parameterized cases by their printed value; print the
+// label so the names stay stable instead of showing the raw bytes, which
+// hold a string pointer and differ from run to run.
+void PrintTo(const EvalCase& c, std::ostream* os) { *os << c.label; }
 
 class DslEvalTest : public ::testing::TestWithParam<EvalCase> {};
 
@@ -65,25 +71,28 @@ TEST_P(DslEvalTest, EvaluatesAgainstHttpRecord) {
 INSTANTIATE_TEST_SUITE_P(
     Rules, DslEvalTest,
     ::testing::Values(
-        EvalCase{R"((= service.name "HTTP"))", true},
-        EvalCase{R"((= service.name "SSH"))", false},
-        EvalCase{R"((!= service.name "SSH"))", true},
-        EvalCase{R"((contains http.html_title "routeros"))", true},  // ci
-        EvalCase{R"((starts-with service.banner "Server:"))", true},
-        EvalCase{R"((ends-with http.html_title "page"))", true},
-        EvalCase{R"((glob service.banner "*nginx/1.25*"))", true},
-        EvalCase{R"((glob service.banner "*apache*"))", false},
-        EvalCase{R"((and (= service.name "HTTP")
-                         (contains http.html_title "RouterOS")))", true},
-        EvalCase{R"((or (= service.name "SSH") (= service.name "HTTP")))",
+        EvalCase{"eq_match", R"((= service.name "HTTP"))", true},
+        EvalCase{"eq_mismatch", R"((= service.name "SSH"))", false},
+        EvalCase{"neq", R"((!= service.name "SSH"))", true},
+        EvalCase{"contains_ci", R"((contains http.html_title "routeros"))",
                  true},
-        EvalCase{R"((not (= service.name "SSH")))", true},
-        EvalCase{R"((= (lower service.name) "http"))", true},
-        EvalCase{R"((= (field "service.name") "HTTP"))", true},
-        EvalCase{R"((= (concat service.name "!") "HTTP!"))", true},
-        EvalCase{R"((if (= service.name "HTTP") (contains http.html_title
+        EvalCase{"starts_with", R"((starts-with service.banner "Server:"))",
+                 true},
+        EvalCase{"ends_with", R"((ends-with http.html_title "page"))", true},
+        EvalCase{"glob_match", R"((glob service.banner "*nginx/1.25*"))", true},
+        EvalCase{"glob_mismatch", R"((glob service.banner "*apache*"))", false},
+        EvalCase{"and", R"((and (= service.name "HTTP")
+                         (contains http.html_title "RouterOS")))", true},
+        EvalCase{"or",
+                 R"((or (= service.name "SSH") (= service.name "HTTP")))",
+                 true},
+        EvalCase{"not", R"((not (= service.name "SSH")))", true},
+        EvalCase{"lower", R"((= (lower service.name) "http"))", true},
+        EvalCase{"field", R"((= (field "service.name") "HTTP"))", true},
+        EvalCase{"concat", R"((= (concat service.name "!") "HTTP!"))", true},
+        EvalCase{"if", R"((if (= service.name "HTTP") (contains http.html_title
                     "RouterOS") (= 1 2)))", true},
-        EvalCase{R"((= missing.field ""))", true}));
+        EvalCase{"missing_field_empty", R"((= missing.field ""))", true}));
 
 TEST(DslEvalTest, ErrorsAreReportedNotThrown) {
   CompiledRule bad = CompiledRule::Compile("(unknown-fn x)");

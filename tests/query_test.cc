@@ -207,6 +207,108 @@ TEST(MatcherTest, AgreesWithInvertedIndexOnRandomCorpus) {
   }
 }
 
+// A value of 1-4 words drawn from a pool every field shares, repeats
+// allowed, so one word can sit in several fields and twice in one value.
+std::string RandomValue(Rng& rng) {
+  static const std::vector<std::string> kWords = {
+      "nginx", "apache", "http", "ssh", "admin", "console", "release", "1.2",
+      "de",    "us"};
+  std::string value;
+  const std::uint64_t n = 1 + rng.NextBelow(4);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if (!value.empty()) value += rng.Bernoulli(0.5) ? " " : ", ";
+    value += kWords[rng.NextBelow(kWords.size())];
+  }
+  return value;
+}
+
+// Adds, changes or drops one to three fields of `doc`.
+void MutateDoc(Rng& rng, storage::FieldMap& doc) {
+  static const std::vector<std::string> kFields = {
+      "svc.80/tcp.service.name", "svc.80/tcp.software.product",
+      "location.country", "svc.443/tcp.http.html_title",
+      "svc.22/tcp.banner"};
+  const std::uint64_t ops = 1 + rng.NextBelow(3);
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    const std::string& field = kFields[rng.NextBelow(kFields.size())];
+    if (doc.contains(field) && rng.Bernoulli(0.35)) {
+      doc.erase(field);
+    } else {
+      doc[field] = RandomValue(rng);  // adds, or changes the value
+    }
+  }
+}
+
+TEST(MatcherTest, IncrementalIndexAgreesWithFreshIndexUnderMutations) {
+  const std::vector<std::string> kQueries = {
+      "nginx",
+      "http AND ssh",
+      "nginx OR console",
+      "NOT apache",
+      "svc.80/tcp.service.name: http",
+      "svc.80/tcp.software.product: \"apache http\"",
+      "svc.22/tcp.banner: nginx AND NOT location.country: de",
+      "\"admin console\"",
+      "ngin*",
+      "svc.443/tcp.http.html_title: *release*",
+      "location.country: us OR location.country: de",
+      "1.2 AND NOT svc.22/tcp.banner: 1.2",
+      "nosuchword",
+  };
+  std::vector<search::QueryPtr> parsed;
+  for (const std::string& text : kQueries) {
+    std::string error;
+    const auto query = search::ParseQuery(text, &error);
+    ASSERT_TRUE(query.has_value()) << text << ": " << error;
+    parsed.push_back(*query);
+  }
+
+  for (const std::uint64_t seed : {3u, 17u, 29u}) {
+    search::SearchIndex index;
+    std::map<std::string, storage::FieldMap> docs;
+    Rng rng(seed);
+    for (int step = 0; step < 300; ++step) {
+      const std::string id = "h" + std::to_string(rng.NextBelow(24));
+      if (docs.contains(id) && rng.Bernoulli(0.1)) {
+        index.Remove(id);
+        docs.erase(id);
+      } else {
+        storage::FieldMap doc = docs[id];
+        MutateDoc(rng, doc);
+        // As the follower does: an emptied entity leaves the index.
+        if (doc.empty()) {
+          index.Remove(id);
+          docs.erase(id);
+        } else {
+          index.Index(id, doc);
+          docs[id] = doc;
+        }
+      }
+
+      search::SearchIndex fresh;
+      for (const auto& [doc_id, fields] : docs) fresh.Index(doc_id, fields);
+      ASSERT_EQ(index.doc_count(), docs.size()) << "seed " << seed;
+      ASSERT_EQ(index.term_count(), fresh.term_count())
+          << "seed " << seed << " step " << step;
+      for (std::size_t q = 0; q < parsed.size(); ++q) {
+        std::vector<std::string> via_matcher;
+        for (const auto& [doc_id, fields] : docs) {
+          if (search::MatchesDocument(parsed[q], fields)) {
+            via_matcher.push_back(doc_id);
+          }
+        }
+        const std::vector<std::string> via_index = index.Execute(parsed[q]);
+        ASSERT_EQ(via_index, fresh.Execute(parsed[q]))
+            << "seed " << seed << " step " << step << " query "
+            << kQueries[q];
+        ASSERT_EQ(via_index, via_matcher)
+            << "seed " << seed << " step " << step << " query "
+            << kQueries[q];
+      }
+    }
+  }
+}
+
 TEST(MatcherTest, TokenizeValueMatchesIndexTokenization) {
   EXPECT_EQ(search::TokenizeValue("Server: nginx build 1.25.3"),
             (std::vector<std::string>{"server", "nginx", "build", "1.25.3"}));

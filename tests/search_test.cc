@@ -2,13 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "search/analytics.h"
 #include "search/index.h"
+#include "search/postings.h"
 #include "search/query.h"
 
 namespace censys::search {
@@ -154,6 +157,46 @@ TEST_F(IndexTest, MalformedQueryReturnsError) {
 TEST_F(IndexTest, MissingTermMatchesNothing) {
   EXPECT_TRUE(Run(R"(service.name: "GOPHER")").empty());
   EXPECT_TRUE(Run(R"(no.such.field: "x")").empty());
+}
+
+// Random inserts and erases against a std::set, over ids spread across
+// three 65,536-id containers and dense enough in one of them to cross the
+// array -> bitmap -> array conversions several times.
+TEST(PostingListTest, MatchesASetAcrossContainerConversions) {
+  PostingList list;
+  std::set<std::uint32_t> reference;
+  std::uint64_t state = 12345;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::uint32_t>(state >> 33);
+  };
+  for (int round = 0; round < 6; ++round) {
+    // Even rounds grow container 1 to ~5,200 ids (a bitmap past 4,096),
+    // odd rounds shrink it to ~1,700 (an array again below 2,048).
+    const bool grow = round % 2 == 0;
+    for (int op = 0; op < 20000; ++op) {
+      const std::uint32_t r = next();
+      const std::uint32_t id =
+          r % 8 == 0 ? r % 3 == 0 ? r % 65536 : (2u << 16) | (r % 65536)
+                     : (1u << 16) | (r % 8000);
+      const bool insert = grow ? r % 10 < 8 : r % 10 < 2;
+      if (insert) {
+        EXPECT_EQ(list.Insert(id), reference.insert(id).second);
+      } else {
+        EXPECT_EQ(list.Erase(id), reference.erase(id) == 1);
+      }
+    }
+    ASSERT_EQ(list.size(), reference.size()) << "round " << round;
+    std::vector<std::uint32_t> ids;
+    list.AppendTo(&ids);
+    ASSERT_EQ(ids, std::vector<std::uint32_t>(reference.begin(),
+                                              reference.end()))
+        << "round " << round;
+    for (std::uint32_t probe = (1u << 16); probe < (1u << 16) + 8000;
+         probe += 7) {
+      ASSERT_EQ(list.Contains(probe), reference.contains(probe)) << probe;
+    }
+  }
 }
 
 // ------------------------------------------------------------------ analytics

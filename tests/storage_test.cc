@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/fault.h"
 #include "core/strings.h"
 #include "storage/delta.h"
 #include "storage/journal.h"
@@ -691,6 +692,207 @@ TEST(WalTest, CorruptRecordCutsTheLogAtThatPoint) {
   EXPECT_LT(std::filesystem::file_size(segment), size);
   EXPECT_EQ(wal.last_lsn(), lsns.size());
 }
+
+// ------------------------------------------------------------ wal tail reads
+
+// Every record Replay delivers past `from_lsn`, at most `max` (0 = all).
+std::vector<WalRecord> ReplayedTail(WriteAheadLog& wal, std::uint64_t from_lsn,
+                                    std::size_t max = 0) {
+  std::vector<WalRecord> records;
+  std::string error;
+  EXPECT_TRUE(wal.Replay(
+      from_lsn,
+      [&](const WalRecord& r) {
+        if (max == 0 || records.size() < max) records.push_back(r);
+      },
+      nullptr, &error))
+      << error;
+  return records;
+}
+
+std::vector<WalRecord> Tail(WriteAheadLog& wal, std::uint64_t from_lsn,
+                            std::size_t max = 0) {
+  std::vector<WalRecord> records;
+  std::string error;
+  EXPECT_TRUE(wal.ReadTail(from_lsn, wal.last_lsn(), max, &records, &error))
+      << error;
+  return records;
+}
+
+void ExpectSameRecords(const std::vector<WalRecord>& got,
+                       const std::vector<WalRecord>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].lsn, want[i].lsn) << what << " #" << i;
+    EXPECT_EQ(got[i].entity, want[i].entity) << what << " #" << i;
+    EXPECT_EQ(got[i].at.minutes, want[i].at.minutes) << what << " #" << i;
+    EXPECT_EQ(got[i].delta.Encode(), want[i].delta.Encode())
+        << what << " #" << i;
+  }
+}
+
+// ReadTail against Replay over a spread of windows and batch caps.
+void ExpectTailMatchesReplay(WriteAheadLog& wal, const std::string& what) {
+  const std::uint64_t last = wal.last_lsn();
+  const std::uint64_t oldest = wal.oldest_lsn();
+  const std::uint64_t base = oldest > 0 ? oldest - 1 : 0;
+  for (const std::uint64_t from :
+       {base, base + 1, base + 17, (base + last) / 2, last - 1, last}) {
+    for (const std::size_t max : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{7}, std::size_t{64}}) {
+      ExpectSameRecords(Tail(wal, from, max), ReplayedTail(wal, from, max),
+                        what + " from " + std::to_string(from) + " max " +
+                            std::to_string(max));
+    }
+  }
+}
+
+// Fills a log with `n` equal-sized records in batches.
+void FillFixedSize(WriteAheadLog& wal, int n) {
+  std::string error;
+  std::vector<WalRecord> batch;
+  for (int i = 0; i < n; ++i) {
+    WalRecord record = MakeRecord("host/fixed", 0);
+    record.delta = SetField("k", std::string(1000, 'x'));
+    batch.push_back(std::move(record));
+    if (batch.size() == 1000 || i + 1 == n) {
+      ASSERT_TRUE(wal.AppendBatch(batch, &error)) << error;
+      batch.clear();
+    }
+  }
+}
+
+TEST(WalTailTest, ReadCostDoesNotGrowWithSegmentSize) {
+  // One ~0.9 MB segment against one ~60 MB segment: the 64-record tail
+  // costs the same bytes in both, not a whole-segment scan.
+  WriteAheadLog small({.dir = ScratchDir("tail_cost_small"),
+                       .segment_bytes = 1u << 20});
+  WriteAheadLog large({.dir = ScratchDir("tail_cost_large"),
+                       .segment_bytes = 64u << 20});
+  FillFixedSize(small, 900);
+  FillFixedSize(large, 60000);
+  ASSERT_EQ(small.rotations(), 0u);
+  ASSERT_EQ(large.rotations(), 0u);
+
+  const auto small_tail = Tail(small, small.last_lsn() - 64, 64);
+  const auto large_tail = Tail(large, large.last_lsn() - 64, 64);
+  ASSERT_EQ(small_tail.size(), 64u);
+  ASSERT_EQ(large_tail.size(), 64u);
+  EXPECT_EQ(large_tail.back().lsn, large.last_lsn());
+
+  // The index is dense (one entry per frame), so its stride is one frame;
+  // the two logs' frames differ only in their LSN varints.
+  const std::uint64_t frame_bytes = small.appended_bytes() / 900;
+  const std::uint64_t small_bytes = small.tail_bytes();
+  const std::uint64_t large_bytes = large.tail_bytes();
+  EXPECT_LE(small_bytes, 64 * (frame_bytes + 1));
+  EXPECT_LE(large_bytes > small_bytes ? large_bytes - small_bytes
+                                      : small_bytes - large_bytes,
+            frame_bytes);
+}
+
+TEST(WalTailTest, MatchesReplayAcrossRotationReopenAndPruning) {
+  const std::string dir = ScratchDir("tail_vs_replay");
+  {
+    WriteAheadLog wal({.dir = dir, .segment_bytes = 512});
+    std::string error;
+    for (int i = 0; i < 60; ++i) {
+      WalRecord record = MakeRecord("host/" + std::to_string(i % 4), i);
+      ASSERT_TRUE(wal.Append(record, &error)) << error;
+    }
+    std::vector<WalRecord> batch;
+    for (int i = 60; i < 120; ++i) {
+      batch.push_back(MakeRecord("host/" + std::to_string(i % 4), i));
+    }
+    ASSERT_TRUE(wal.AppendBatch(batch, &error)) << error;
+    ASSERT_GT(wal.rotations(), 3u);
+    ExpectTailMatchesReplay(wal, "live");
+  }
+
+  // A fresh instance rebuilds every segment's index from its recovery scan.
+  WriteAheadLog wal({.dir = dir, .segment_bytes = 512});
+  std::string error;
+  ASSERT_TRUE(wal.Open(&error)) << error;
+  ASSERT_EQ(wal.last_lsn(), 120u);
+  ExpectTailMatchesReplay(wal, "reopened");
+
+  // Appends after the reopen extend the rebuilt index.
+  for (int i = 120; i < 140; ++i) {
+    WalRecord record = MakeRecord("host/x", i);
+    ASSERT_TRUE(wal.Append(record, &error)) << error;
+  }
+  ExpectTailMatchesReplay(wal, "reopened+appended");
+
+  // A checkpoint prunes the covered segments and their indexes.
+  ASSERT_TRUE(wal.WriteCheckpoint(70, "state", &error)) << error;
+  ASSERT_GT(wal.oldest_lsn(), 1u);
+  ASSERT_LE(wal.oldest_lsn(), 71u);
+  ExpectTailMatchesReplay(wal, "pruned");
+  ExpectSameRecords(Tail(wal, 0), ReplayedTail(wal, 0), "pruned from 0");
+}
+
+TEST(WalTailTest, HalfWrittenFinalFrameEndsTheRead) {
+  const std::string dir = ScratchDir("tail_torn");
+  WriteAheadLog wal({.dir = dir});
+  std::string error;
+  for (int i = 0; i < 10; ++i) {
+    WalRecord record = MakeRecord("host/t", i);
+    ASSERT_TRUE(wal.Append(record, &error)) << error;
+  }
+  const std::string segment =
+      (std::filesystem::path(dir) / "wal-00000000.log").string();
+
+  // A writer's half-written frame past the last whole one is not read.
+  {
+    std::ofstream out(segment, std::ios::binary | std::ios::app);
+    out.write("\x40\x00\x00\x00\xde\xad\xbe", 7);
+  }
+  const auto dirty = std::filesystem::file_size(segment);
+  EXPECT_EQ(Tail(wal, 0).size(), 10u);
+  EXPECT_EQ(Tail(wal, 4, 3).size(), 3u);
+  EXPECT_EQ(std::filesystem::file_size(segment), dirty);
+
+  // Cut the last whole frame in half: the read ends at the last whole
+  // record, exactly where recovery's replay ends.
+  std::filesystem::resize_file(segment, dirty - 7 - 5);
+  const auto tail = Tail(wal, 0);
+  ASSERT_EQ(tail.size(), 9u);
+  ExpectSameRecords(tail, ReplayedTail(wal, 0), "torn");
+}
+
+#if defined(CENSYSIM_FAULT_INJECTION)
+TEST(WalTailTest, ReadBitFlipStopsAtTheBadFrame) {
+  const std::string dir = ScratchDir("tail_bitflip");
+  WriteAheadLog wal({.dir = dir, .segment_bytes = 512});
+  std::string error;
+  for (int i = 0; i < 40; ++i) {
+    WalRecord record = MakeRecord("host/f", i);
+    ASSERT_TRUE(wal.Append(record, &error)) << error;
+  }
+  const auto clean = ReplayedTail(wal, 10);
+  ASSERT_EQ(clean.size(), 30u);
+
+  // The read point fires once per frame read, and only the shipped frames
+  // are read: the 6th frame of the tail flips a bit, so the first 5 ship.
+  std::vector<WalRecord> records;
+  {
+    fault::ScopedPlan plan(1, {{.point = "storage.wal.read",
+                                .mode = fault::Mode::kBitFlip,
+                                .skip_hits = 5,
+                                .max_fires = 1}});
+    ASSERT_TRUE(wal.ReadTail(10, wal.last_lsn(), 0, &records, &error))
+        << error;
+    EXPECT_EQ(fault::Injector::Global().hits("storage.wal.read"), 6u);
+  }
+  ExpectSameRecords(records,
+                    std::vector<WalRecord>(clean.begin(), clean.begin() + 5),
+                    "bit flip");
+
+  // The flip was in memory only: the next read ships the whole tail.
+  ExpectSameRecords(Tail(wal, 10), clean, "after the flip");
+}
+#endif  // CENSYSIM_FAULT_INJECTION
 
 // ---------------------------------------------------------- journal + wal
 

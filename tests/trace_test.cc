@@ -144,7 +144,9 @@ TEST_F(TraceTest, SpansNestAcrossExecutorThreads) {
   EXPECT_EQ(inners.size(), 2 * kItems);
   // ParallelFor includes the calling thread, so a threaded run records
   // rings for more than one thread.
-  if (threads > 0) EXPECT_GT(threads_seen.size(), 1u);
+  if (threads > 0) {
+    EXPECT_GT(threads_seen.size(), 1u);
+  }
 
   // Every inner span is contained in an outer span on its own thread: the
   // scoped nesting survives the fan-out because each thread writes only

@@ -204,6 +204,8 @@ constexpr MetricDoc kDocs[] = {
      "WAL checkpoints written."},
     {"censys.storage.wal.truncated_bytes", "storage",
      "Torn/corrupt tail bytes truncated during WAL recovery."},
+    {"censys.storage.wal.tail_bytes", "storage",
+     "Segment-file bytes read by replication tail reads (ReadTail)."},
 };
 
 const MetricDoc* FindDoc(std::string_view name) {
