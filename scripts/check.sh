@@ -90,8 +90,9 @@ run_sanitizer() { # run_sanitizer <address|thread|undefined> <dir>
 }
 
 # Production shape: CENSYSIM_FAULT_INJECTION=OFF must still compile and
-# the WAL/recovery tests must still pass (fault::Hit folds to a constant
-# nullopt; only the injection-dependent tests drop out).
+# the WAL/recovery tests and the column-segment tests (CSG1 files share the
+# WAL's frame codec, storage/frame.h) must still pass (fault::Hit folds to
+# a constant nullopt; only the injection-dependent tests drop out).
 run_faultoff() {
   note "fault-injection-off leg (build dir build-faultoff)"
   local rc=0
@@ -102,6 +103,8 @@ run_faultoff() {
   }
   ./build-faultoff/tests/storage_test || rc=1
   ./build-faultoff/tests/core_test --gtest_filter="FaultInjectorTest.*" || rc=1
+  ./build-faultoff/tests/query_test \
+    --gtest_filter="ColumnSegmentTest.*:AnalyticsTierTest.*" || rc=1
   record "fault-off leg" $rc
 }
 

@@ -97,8 +97,13 @@ void WriteSide::IngestScanLocked(const ServiceRecord& record,
       if (const storage::FieldMap* state = journal_.CurrentState(entity)) {
         for (ServiceKey key : ServicesIn(*state, record.key.ip)) {
           const storage::Delta delta = RemoveServiceDelta(*state, key);
-          journal_.Append(entity, storage::EventKind::kServiceRemoved,
-                          record.observed_at, delta);
+          if (!delta.empty()) {
+            journal_.Append(entity, storage::EventKind::kServiceRemoved,
+                            record.observed_at, delta);
+            bus_.Publish(PipelineEvent{entity, key,
+                                       storage::EventKind::kServiceRemoved,
+                                       record.observed_at});
+          }
           states_.erase(key.Pack());
           pseudo_suppressed_.fetch_add(1, std::memory_order_relaxed);
           pseudo_metric_.Add();

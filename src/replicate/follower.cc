@@ -1,6 +1,8 @@
 #include "replicate/follower.h"
 
 #include "core/fault.h"
+#include "storage/frame.h"
+#include "storage/wal.h"
 
 namespace censys::replicate {
 
@@ -80,11 +82,16 @@ Follower::IngestResult Follower::Apply(const Shipment& shipment) {
     return result;
   }
 
-  const DecodedShipment decoded = DecodeShipment(shipment);
   result.status = Ingest::kApplied;
-  for (const storage::WalRecord& record : decoded.records) {
-    if (record.lsn <= applied) continue;  // duplicate prefix: already applied
-    if (record.lsn != applied + 1) {
+  std::size_t offset = 0;
+  while (offset < shipment.frames.size()) {
+    const storage::Frame frame = storage::ParseFrame(shipment.frames, offset);
+    if (frame.status != storage::FrameStatus::kWhole) break;
+    const auto record = storage::DecodeWalPayload(frame.payload);
+    if (!record.has_value()) break;
+    offset += frame.size;
+    if (record->lsn <= applied) continue;  // duplicate prefix: already applied
+    if (record->lsn != applied + 1) {
       // Records must chain contiguously; a hole inside the run means the
       // shipment is not trustworthy past this point.
       corrupt_shipments_.fetch_add(1, std::memory_order_relaxed);
@@ -103,15 +110,16 @@ Follower::IngestResult Follower::Apply(const Shipment& shipment) {
       result.status = Ingest::kStalled;
       return result;
     }
-    journal_.ApplyReplicated(record);
-    UpdateIndexFor(record.entity);
-    applied = record.lsn;
+    journal_.ApplyReplicated(*record);
+    UpdateIndexFor(record->entity);
+    applied = record->lsn;
     applied_lsn_.store(applied, std::memory_order_release);
     applied_records_.fetch_add(1, std::memory_order_relaxed);
     ++result.applied_records;
   }
-  if (decoded.corrupt_frames > 0) {
-    // The valid prefix applied; the cut tail must be re-shipped.
+  if (applied < shipment.last_lsn) {
+    // A torn or corrupt frame cut the run short: the valid prefix applied;
+    // the cut tail must be re-shipped.
     corrupt_shipments_.fetch_add(1, std::memory_order_relaxed);
     result.status = Ingest::kCorrupt;
   }

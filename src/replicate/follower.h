@@ -1,5 +1,13 @@
 // A read replica: journal + read stack fed by shipped WAL records.
 //
+// A Shipment is one contiguous run of the leader's WAL frames, byte for
+// byte as WriteAheadLog::ReadTail read them (storage/frame.h framing),
+// covering (prev_lsn, last_lsn]. The frames travel a simulated link that
+// can lose, reorder, corrupt, or truncate them ("replicate.ship", see
+// group.h), so Apply checks every frame as it walks the run and stops at
+// the first torn or corrupt one: the whole-frame prefix still applies,
+// exactly like a torn log tail, and the shipment is NACKed.
+//
 // A Follower owns a complete, WAL-less copy of the serving read path — an
 // EventJournal, a passive WriteSide (required by ReadSide, never fed scan
 // traffic), a ReadSide with its own ViewCache, a SearchIndex maintained
@@ -28,12 +36,17 @@
 #include "core/metrics.h"
 #include "pipeline/read_side.h"
 #include "pipeline/write_side.h"
-#include "replicate/shipment.h"
 #include "search/analytics.h"
 #include "search/index.h"
 #include "storage/journal.h"
 
 namespace censys::replicate {
+
+struct Shipment {
+  std::uint64_t prev_lsn = 0;  // the LSN this run extends
+  std::uint64_t last_lsn = 0;  // LSN of the last frame
+  std::string frames;          // the leader's WAL frames, as read
+};
 
 // FNV-1a over the journal's canonical ScanAll order — the cross-replica
 // fidelity oracle: equal digests at equal watermarks mean byte-identical
@@ -65,7 +78,8 @@ class Follower {
     kApplied = 0,    // every new record applied
     kDuplicate = 1,  // entirely at or below applied_lsn; nothing to do
     kGap = 2,        // prev_lsn ahead of applied_lsn: NACK, re-request
-    kCorrupt = 3,    // a frame failed CRC/decode: valid prefix applied
+    kCorrupt = 3,    // a frame was torn or failed CRC/decode, or the run
+                     // ended before last_lsn: valid prefix applied
     kStalled = 4,    // injected apply stall: prefix applied, retry later
     kDead = 5,       // follower is killed; shipment dropped
   };

@@ -103,15 +103,15 @@ bool ReplicationGroup::PumpFollower(std::size_t i, std::string* error) {
     return BootstrapFollower(i, error);
   }
 
-  std::vector<storage::WalRecord> records;
-  if (!wal->ReadTail(from, end, options_.max_records_per_shipment, &records,
-                     &err) ||
-      records.empty()) {
+  // The shipment is the leader's checked frames, exactly as read.
+  Shipment shipment{.prev_lsn = from, .last_lsn = from, .frames = {}};
+  if (!wal->ReadTail(from, end, options_.max_records_per_shipment,
+                     &shipment.frames, &shipment.last_lsn, &err) ||
+      shipment.frames.empty()) {
     // A segment vanished mid-read (pruning race) or the window closed:
     // re-bootstrap rather than stall forever.
     return BootstrapFollower(i, error);
   }
-  Shipment shipment = EncodeShipment(from, records);
 
   // The link: one fault check per shipment.
   if (const auto fault = fault::Hit("replicate.ship")) {
@@ -140,7 +140,7 @@ bool ReplicationGroup::PumpFollower(std::size_t i, std::string* error) {
       }
       case fault::Mode::kTornWrite: {
         // Truncate mid-frame: at least one byte survives, at least one is
-        // dropped, so the decoder sees a torn tail.
+        // dropped, so the follower sees a torn frame and NACKs.
         const std::size_t keep = std::clamp<std::size_t>(
             static_cast<std::size_t>(
                 fault->tear_frac *
@@ -156,13 +156,12 @@ bool ReplicationGroup::PumpFollower(std::size_t i, std::string* error) {
         // the gap first and NACKs it, then the original lands.
         ++reordered_;
         reordered_metric_.Add();
-        std::vector<storage::WalRecord> next_records;
-        if (wal->ReadTail(shipment.last_lsn, end,
-                          options_.max_records_per_shipment, &next_records,
-                          &err) &&
-            !next_records.empty()) {
-          const Shipment overtaker =
-              EncodeShipment(shipment.last_lsn, next_records);
+        Shipment overtaker{.prev_lsn = shipment.last_lsn,
+                           .last_lsn = shipment.last_lsn, .frames = {}};
+        if (wal->ReadTail(overtaker.prev_lsn, end,
+                          options_.max_records_per_shipment,
+                          &overtaker.frames, &overtaker.last_lsn, &err) &&
+            !overtaker.frames.empty()) {
           Deliver(f, overtaker);
           if (!f.serving()) return true;  // overtaker's apply crash-killed it
         }

@@ -5,12 +5,12 @@
 // WAL — shipping reads the durable log, never leader memory) and a set of
 // Followers. Shipping is pull-model and self-healing: each pump reads the
 // leader tail past the follower's applied LSN (WriteAheadLog::ReadTail,
-// read-only) and delivers it as one Shipment; a lost, stalled, corrupt, or
-// overtaken shipment simply leaves the follower's watermark where it was,
-// so the next pump re-reads from there — the NACK/resend loop needs no
-// retransmit queue. When checkpoint pruning has dropped segments below a
-// lagging follower's watermark, the pump falls back to a fresh snapshot
-// bootstrap instead.
+// read-only) and delivers its frames, as read, in one Shipment; a lost,
+// stalled, corrupt, torn, or overtaken shipment simply leaves the
+// follower's watermark short of its end, so the next pump re-reads from
+// there — the NACK/resend loop needs no retransmit queue. When checkpoint
+// pruning has dropped segments below a lagging follower's watermark, the
+// pump falls back to a fresh snapshot bootstrap instead.
 //
 // The "replicate.ship" fault point fires once per shipment on the link:
 //   kErrorReturn  shipment lost in flight

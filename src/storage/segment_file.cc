@@ -5,30 +5,13 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdint>
 #include <cstring>
 
-#include "core/crc32c.h"
 #include "core/fault.h"
+#include "storage/frame.h"
 
 namespace censys::storage {
 namespace {
-
-constexpr std::size_t kFrameHeader = 8;  // u32 len + u32 crc
-
-void PutU32Le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-std::uint32_t GetU32Le(const char* p) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(p[0])) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[1])) << 8) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[2])) << 16) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[3])) << 24);
-}
 
 void SetError(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
@@ -53,10 +36,7 @@ bool WriteAll(int fd, const char* data, std::size_t n, std::string* error) {
 bool WriteSegmentFile(const std::string& path, std::string_view payload,
                       std::string* error) {
   std::string frame;
-  frame.reserve(kFrameHeader + payload.size());
-  PutU32Le(frame, static_cast<std::uint32_t>(payload.size()));
-  PutU32Le(frame, core::Crc32c(payload));
-  frame.append(payload);
+  AppendFrame(frame, payload);
 
   bool torn = false;
   if (const auto fault = fault::Hit("storage.segment.write")) {
@@ -157,22 +137,20 @@ std::optional<std::string> ReadSegmentFile(const std::string& path,
     }
   }
 
-  if (data.size() < kFrameHeader) {
+  const Frame frame = ParseFrame(data, 0);
+  if (frame.size == 0) {
     SetError(error, "segment " + path + ": short file");
     return std::nullopt;
   }
-  const std::uint32_t len = GetU32Le(data.data());
-  const std::uint32_t crc = GetU32Le(data.data() + 4);
-  if (kFrameHeader + len != data.size()) {
+  if (frame.size != data.size()) {
     SetError(error, "segment " + path + ": length mismatch");
     return std::nullopt;
   }
-  std::string payload = data.substr(kFrameHeader);
-  if (core::Crc32c(payload) != crc) {
+  if (frame.status != FrameStatus::kWhole) {
     SetError(error, "segment " + path + ": checksum mismatch");
     return std::nullopt;
   }
-  return payload;
+  return std::string(frame.payload);
 }
 
 bool SegmentFileExists(const std::string& path) {

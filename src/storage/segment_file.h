@@ -1,10 +1,8 @@
 // Crash-safe single-blob segment files for the columnar analytics tier.
 //
-// A segment file is one CRC-framed payload:
-//
-//   [u32 payload_len][u32 crc32c(payload)][payload]     (little-endian)
-//
-// written with the checkpoint idiom: the frame lands in `path + ".tmp"`,
+// A segment file is one CRC frame of storage/frame.h, the one definition
+// of the [u32 len][u32 crc32c(payload)][payload] framing, holding the whole
+// payload, written with the checkpoint idiom: the frame lands in `path + ".tmp"`,
 // is fsynced, and is renamed over `path`, so a reader never observes a
 // half-written destination — the file either holds the complete old
 // frame, the complete new frame, or does not exist. Validation is the

@@ -10,9 +10,9 @@
 #include <filesystem>
 #include <limits>
 
-#include "core/crc32c.h"
 #include "core/fault.h"
 #include "core/trace.h"
+#include "storage/frame.h"
 #include "storage/serialize.h"
 
 namespace censys::storage {
@@ -25,38 +25,12 @@ constexpr char kSegmentSuffix[] = ".log";
 constexpr char kCheckpointPrefix[] = "ckpt-";
 constexpr char kCheckpointSuffix[] = ".snap";
 constexpr char kCheckpointMagic[8] = {'C', 'S', 'Y', 'S', 'C', 'K', 'P', 'T'};
-constexpr std::size_t kFrameHeader = 8;  // u32 len + u32 crc
-
-void PutU32Le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-std::uint32_t GetU32Le(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) |
-         (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) |
-         (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-std::string Frame(std::string_view payload) {
-  std::string frame;
-  frame.reserve(kFrameHeader + payload.size());
-  PutU32Le(frame, static_cast<std::uint32_t>(payload.size()));
-  PutU32Le(frame, core::Crc32c(payload));
-  frame.append(payload);
-  return frame;
-}
-
 void SetError(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
 }
 
-// Reads `length` bytes at `offset` into *out; a file that ends early
-// leaves *out short (the frame check then sees a torn frame).
+// Appends the `length` bytes at `offset` to *out; a file that ends early
+// leaves them short (the frame check then sees a torn frame).
 bool ReadRange(const std::string& path, std::uint64_t offset,
                std::uint64_t length, std::string* out, std::string* error) {
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -64,10 +38,11 @@ bool ReadRange(const std::string& path, std::uint64_t offset,
     SetError(error, path + ": " + std::strerror(errno));
     return false;
   }
-  out->resize(length);
+  const std::size_t base = out->size();
+  out->resize(base + length);
   std::size_t got = 0;
   while (got < length) {
-    const ssize_t n = ::pread(fd, out->data() + got, length - got,
+    const ssize_t n = ::pread(fd, out->data() + base + got, length - got,
                               static_cast<off_t>(offset + got));
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -79,7 +54,7 @@ bool ReadRange(const std::string& path, std::uint64_t offset,
     got += static_cast<std::size_t>(n);
   }
   ::close(fd);
-  out->resize(got);
+  out->resize(base + got);
   return true;
 }
 
@@ -94,20 +69,13 @@ bool ReadFile(const std::string& path, std::string* out, std::string* error) {
   return ReadRange(path, 0, size, out, error);
 }
 
-enum class FrameStatus { kWhole, kTorn, kCorrupt };
-
-// Checks the frame starting at data[offset]: a frame that does not fit in
-// `data` is torn. The read-path injection point fires once per frame
-// that fits, simulating media errors on its bytes — a bit flip lands in
-// `data`, an unreadable sector makes the frame corrupt. On kWhole,
-// *payload views the CRC-checked payload.
-FrameStatus CheckFrame(std::string& data, std::size_t offset,
-                       std::string_view* payload) {
-  if (offset + kFrameHeader > data.size()) return FrameStatus::kTorn;
-  const std::uint32_t len = GetU32Le(data.data() + offset);
-  const std::uint32_t stored_crc = GetU32Le(data.data() + offset + 4);
-  if (offset + kFrameHeader + len > data.size()) return FrameStatus::kTorn;
-
+// Parses the frame starting at data[offset], with the read-path injection
+// point firing once per frame that fits, simulating media errors on its
+// bytes: a bit flip lands in `data`, an unreadable sector makes the frame
+// corrupt. A frame the fault damaged is corrupt, never torn.
+Frame CheckFrame(std::string& data, std::size_t offset) {
+  Frame frame = ParseFrame(data, offset);
+  if (frame.status == FrameStatus::kTorn) return frame;
   if (const auto fault = fault::Hit("storage.wal.read")) {
     switch (fault->mode) {
       case fault::Mode::kCrash:
@@ -115,29 +83,22 @@ FrameStatus CheckFrame(std::string& data, std::size_t offset,
       case fault::Mode::kErrorReturn:
       case fault::Mode::kStall:
         // Unreadable sector: everything from here on is lost.
-        return FrameStatus::kCorrupt;
+        frame.status = FrameStatus::kCorrupt;
+        break;
       default: {
         // Any corruption mode: one bit of this record's bytes flips.
-        const std::size_t span = (kFrameHeader + len) * 8;
-        const std::size_t bit = fault->bit % span;
+        const std::size_t size = frame.size;
+        const std::size_t bit = fault->bit % (size * 8);
         data[offset + bit / 8] ^= static_cast<char>(1u << (bit % 8));
+        frame = ParseFrame(data, offset);
+        if (frame.status != FrameStatus::kWhole || frame.size != size) {
+          frame = Frame{FrameStatus::kCorrupt, {}, size};
+        }
         break;
       }
     }
   }
-
-  // Re-read the header: a bit flip may have landed in it.
-  const std::uint32_t len2 = GetU32Le(data.data() + offset);
-  const std::uint32_t crc2 = GetU32Le(data.data() + offset + 4);
-  if (len2 != len || offset + kFrameHeader + len2 > data.size()) {
-    return FrameStatus::kCorrupt;
-  }
-  *payload = std::string_view(data.data() + offset + kFrameHeader, len2);
-  if (core::Crc32c(*payload) != crc2 ||
-      (crc2 != stored_crc && core::Crc32c(*payload) != stored_crc)) {
-    return FrameStatus::kCorrupt;
-  }
-  return FrameStatus::kWhole;
+  return frame;
 }
 
 }  // namespace
@@ -249,24 +210,23 @@ bool WriteAheadLog::ScanSegment(
   if (!ReadFile(path, &data, error)) return false;
 
   std::size_t offset = 0;
-  std::string_view payload;
-  FrameStatus status;
-  while ((status = CheckFrame(data, offset, &payload)) == FrameStatus::kWhole) {
-    const auto record = DecodeWalPayload(payload);
+  Frame frame;
+  while ((frame = CheckFrame(data, offset)).status == FrameStatus::kWhole) {
+    const auto record = DecodeWalPayload(frame.payload);
     if (!record.has_value()) {
-      status = FrameStatus::kCorrupt;
+      frame.status = FrameStatus::kCorrupt;
       break;
     }
     if (segment != nullptr) segment->frames.push_back({record->lsn, offset});
     if (visit) visit(*record);
     if (stats != nullptr) ++stats->records;
-    offset += kFrameHeader + payload.size();
+    offset += frame.size;
   }
   if (segment != nullptr) segment->bytes = offset;
 
   const std::uint64_t file_size = data.size();
   if (offset < file_size) {
-    const bool corrupt = status == FrameStatus::kCorrupt;
+    const bool corrupt = frame.status == FrameStatus::kCorrupt;
     if (stats != nullptr) {
       stats->truncated_bytes += file_size - offset;
       if (corrupt) ++stats->corrupt_records;
@@ -415,7 +375,8 @@ bool WriteAheadLog::Append(WalRecord& record, std::string* error) {
   if (!opened_ && !OpenLocked(error)) return false;
 
   record.lsn = next_lsn_.load(std::memory_order_relaxed);
-  std::string frame = Frame(EncodeWalPayload(record));
+  std::string frame;
+  AppendFrame(frame, EncodeWalPayload(record));
 
   if (const auto fault = fault::Hit("storage.wal.append")) {
     switch (fault->mode) {
@@ -493,7 +454,9 @@ bool WriteAheadLog::AppendBatch(std::vector<WalRecord>& records,
   frame_starts.reserve(records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     records[i].lsn = first_lsn + i;
-    std::string frame = Frame(EncodeWalPayload(records[i]));
+    const std::size_t start = buffer.size();
+    AppendFrame(buffer, EncodeWalPayload(records[i]));
+    const std::size_t frame_size = buffer.size() - start;
     if (const auto fault = fault::Hit("storage.wal.append")) {
       switch (fault->mode) {
         case fault::Mode::kErrorReturn:
@@ -505,24 +468,23 @@ bool WriteAheadLog::AppendBatch(std::vector<WalRecord>& records,
         case fault::Mode::kTornWrite: {
           // The batch dies mid-flight: everything buffered so far plus a
           // prefix of this frame reaches the medium.
-          buffer += frame.substr(
-              0, std::clamp<std::size_t>(
-                     static_cast<std::size_t>(
-                         fault->tear_frac * static_cast<double>(frame.size())),
-                     1, frame.size() - 1));
+          buffer.resize(start + std::clamp<std::size_t>(
+                                    static_cast<std::size_t>(
+                                        fault->tear_frac *
+                                        static_cast<double>(frame_size)),
+                                    1, frame_size - 1));
           std::string ignored;
           WriteAllLocked(buffer.data(), buffer.size(), &ignored);
           throw fault::CrashException{"storage.wal.append"};
         }
         case fault::Mode::kBitFlip: {
-          const std::size_t bit = fault->bit % (frame.size() * 8);
-          frame[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+          const std::size_t bit = fault->bit % (frame_size * 8);
+          buffer[start + bit / 8] ^= static_cast<char>(1u << (bit % 8));
           break;
         }
       }
     }
-    frame_starts.push_back(buffer.size());
-    buffer += frame;
+    frame_starts.push_back(start);
   }
 
   if (segments_.back().bytes > 0 &&
@@ -612,18 +574,18 @@ bool WriteAheadLog::Replay(
 }
 
 bool WriteAheadLog::ReadTail(std::uint64_t from_lsn, std::uint64_t end_lsn,
-                             std::size_t max_records,
-                             std::vector<WalRecord>* out, std::string* error) {
+                             std::size_t max_records, std::string* frames,
+                             std::uint64_t* last_lsn, std::string* error) {
   TRACE_SPAN("storage", "wal.read_tail");
-  // Under the lock, the frame indexes give the exact byte range of every
-  // frame to ship; the reads run unlocked. Appends only add frames past
-  // those ranges, and a checkpoint that prunes a planned segment makes
-  // its open fail.
+  // Under the lock, the frame indexes give the exact byte range and the
+  // LSNs of every frame to ship; the reads run unlocked. Appends only add
+  // frames past those ranges, and a checkpoint that prunes a planned
+  // segment makes its open fail.
   struct Range {
     std::uint64_t segment = 0;
     std::uint64_t begin = 0;
     std::uint64_t end = 0;
-    std::size_t frames = 0;
+    std::vector<std::uint64_t> lsns;  // one per frame, in file order
   };
   std::vector<Range> ranges;
   {
@@ -637,42 +599,42 @@ bool WriteAheadLog::ReadTail(std::uint64_t from_lsn, std::uint64_t end_lsn,
     };
     for (const Segment& segment : segments_) {
       if (budget == 0) break;
-      const std::vector<FrameRef>& frames = segment.frames;
-      const auto first = std::upper_bound(frames.begin(), frames.end(),
+      const std::vector<FrameRef>& index = segment.frames;
+      const auto first = std::upper_bound(index.begin(), index.end(),
                                           from_lsn, lsn_less);
-      const auto last = std::upper_bound(first, frames.end(), end_lsn,
+      const auto last = std::upper_bound(first, index.end(), end_lsn,
                                          lsn_less);
-      if (last != frames.end() && first == last) break;  // past end_lsn
+      if (last != index.end() && first == last) break;  // past end_lsn
       const std::size_t n =
           std::min<std::size_t>(static_cast<std::size_t>(last - first),
                                 budget);
       if (n == 0) continue;
       const auto stop = first + static_cast<std::ptrdiff_t>(n);
-      ranges.push_back({segment.index, first->offset,
-                        stop == frames.end() ? segment.bytes : stop->offset,
-                        n});
+      Range& range = ranges.emplace_back();
+      range.segment = segment.index;
+      range.begin = first->offset;
+      range.end = stop == index.end() ? segment.bytes : stop->offset;
+      for (auto it = first; it != stop; ++it) range.lsns.push_back(it->lsn);
       budget -= n;
     }
   }
 
-  std::string data;
   for (const Range& range : ranges) {
+    std::size_t offset = frames->size();
     if (!ReadRange(SegmentPath(range.segment), range.begin,
-                   range.end - range.begin, &data, error)) {
+                   range.end - range.begin, frames, error)) {
       return false;
     }
-    tail_bytes_.fetch_add(data.size(), std::memory_order_relaxed);
-    tail_bytes_metric_.Add(data.size());
-    std::size_t offset = 0;
-    for (std::size_t i = 0; i < range.frames; ++i) {
-      std::string_view payload;
-      if (CheckFrame(data, offset, &payload) != FrameStatus::kWhole) {
-        return true;  // a torn or corrupt frame ends the read
+    tail_bytes_.fetch_add(frames->size() - offset, std::memory_order_relaxed);
+    tail_bytes_metric_.Add(frames->size() - offset);
+    for (const std::uint64_t lsn : range.lsns) {
+      const Frame frame = CheckFrame(*frames, offset);
+      if (frame.status != FrameStatus::kWhole) {
+        frames->resize(offset);  // a torn or corrupt frame ends the read
+        return true;
       }
-      auto record = DecodeWalPayload(payload);
-      if (!record.has_value()) return true;
-      out->push_back(std::move(*record));
-      offset += kFrameHeader + payload.size();
+      offset += frame.size;
+      *last_lsn = lsn;
     }
   }
   return true;
@@ -697,12 +659,8 @@ bool WriteAheadLog::WriteCheckpoint(std::uint64_t lsn,
   // before the checkpoint can supersede it.
   if (!SyncLocked(error)) return false;
 
-  std::string file;
-  file.reserve(sizeof(kCheckpointMagic) + kFrameHeader + payload.size());
-  file.append(kCheckpointMagic, sizeof(kCheckpointMagic));
-  PutU32Le(file, static_cast<std::uint32_t>(payload.size()));
-  PutU32Le(file, core::Crc32c(payload));
-  file.append(payload);
+  std::string file(kCheckpointMagic, sizeof(kCheckpointMagic));
+  AppendFrame(file, payload);
 
   if (const auto fault = fault::Hit("storage.wal.append")) {
     switch (fault->mode) {
@@ -831,9 +789,7 @@ std::optional<std::string> WriteAheadLog::ReadCheckpoint(
   std::string data;
   std::string error;
   if (!ReadFile(CheckpointPath(lsn), &data, &error)) return std::nullopt;
-  if (data.size() < sizeof(kCheckpointMagic) + kFrameHeader) {
-    return std::nullopt;
-  }
+  if (data.size() <= sizeof(kCheckpointMagic)) return std::nullopt;
   if (const auto fault = fault::Hit("storage.wal.read")) {
     switch (fault->mode) {
       case fault::Mode::kCrash:
@@ -851,16 +807,12 @@ std::optional<std::string> WriteAheadLog::ReadCheckpoint(
       0) {
     return std::nullopt;
   }
-  const std::uint32_t len = GetU32Le(data.data() + sizeof(kCheckpointMagic));
-  const std::uint32_t crc =
-      GetU32Le(data.data() + sizeof(kCheckpointMagic) + 4);
-  if (sizeof(kCheckpointMagic) + kFrameHeader + len != data.size()) {
+  const Frame frame = ParseFrame(data, sizeof(kCheckpointMagic));
+  if (frame.status != FrameStatus::kWhole ||
+      sizeof(kCheckpointMagic) + frame.size != data.size()) {
     return std::nullopt;
   }
-  std::string payload =
-      data.substr(sizeof(kCheckpointMagic) + kFrameHeader, len);
-  if (core::Crc32c(payload) != crc) return std::nullopt;
-  return payload;
+  return std::string(frame.payload);
 }
 
 }  // namespace censys::storage

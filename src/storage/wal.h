@@ -17,11 +17,12 @@
 //   ...
 //   ckpt-<lsn 20 digits>.snap   full-state checkpoints (tmp+rename)
 //
-// Record framing (all integers little-endian):
+// Every record is one frame of storage/frame.h, the one definition of the
+// [u32 len][u32 crc32c(payload)][payload] framing; a checkpoint file is an
+// 8-byte magic followed by one frame. A record's payload is
 //
-//   [u32 payload_len][u32 crc32c(payload)][payload]
-//   payload := varint lsn | u8 kind | varint at_minutes
-//              | lp(entity_id) | lp(delta_encoding)
+//   varint lsn | u8 kind | varint at_minutes | lp(entity_id)
+//   | lp(delta_encoding)
 //
 // LSNs are assigned contiguously from 1 by Append; a checkpoint file
 // carries the LSN it covers, so replay starts strictly after it.
@@ -29,8 +30,8 @@
 // Every segment keeps an in-memory LSN -> byte-offset index of its whole
 // frames, built as frames are appended and rebuilt by Open()'s recovery
 // scan. Tail reads for replication use it to pread exactly the frames they
-// ship, so a read costs what it returns whatever the segment's size; only
-// recovery (Open, Replay) reads whole segments.
+// ship and return them as read, so a read costs what it returns whatever
+// the segment's size; only recovery (Open, Replay) reads whole segments.
 //
 // Fault injection points (core/fault.h): "storage.wal.append" (record and
 // checkpoint writes; error-return / torn-write / bit-flip / crash),
@@ -139,20 +140,23 @@ class WriteAheadLog {
               const std::function<void(const WalRecord&)>& visit,
               ReplayStats* stats, std::string* error);
 
-  // Read-only tail iterator for replication shipping: appends every valid
-  // record with from_lsn < lsn <= end_lsn, in log order, to `out`
-  // (`max_records` bounds the batch; 0 = unbounded). The segment indexes
-  // locate the requested frames, which are pread, CRC-checked and decoded
-  // alone: frames below the window are neither read nor re-validated, and
-  // bytes past the last whole appended frame (a writer's half-written
+  // Read-only tail reader for replication shipping: appends to `frames`
+  // the frames of every record with from_lsn < lsn <= end_lsn, in log
+  // order, byte for byte as they lie in the segment files, and sets
+  // *last_lsn to the LSN of the last one (untouched when none). At most
+  // `max_records` frames are read (0 = unbounded). The segment indexes
+  // locate the requested frames, which are pread and CRC-checked alone and
+  // never decoded: every indexed frame was encoded by Append or decoded by
+  // Open's scan. Frames below the window are neither read nor re-validated,
+  // and bytes past the last whole appended frame (a writer's half-written
   // frame) are never looked at. Unlike Open/Replay this NEVER mutates the
-  // log — a frame that fails its CRC or decode just ends the read at the
-  // last whole record. Returns false only on unrecoverable I/O errors
-  // (e.g. a segment pruned mid-read by a checkpoint; the caller re-checks
+  // log — a frame that fails its check just ends the read after the last
+  // whole frame. Returns false only on unrecoverable I/O errors (e.g. a
+  // segment pruned mid-read by a checkpoint; the caller re-checks
   // oldest_lsn and re-bootstraps).
   bool ReadTail(std::uint64_t from_lsn, std::uint64_t end_lsn,
-                std::size_t max_records, std::vector<WalRecord>* out,
-                std::string* error);
+                std::size_t max_records, std::string* frames,
+                std::uint64_t* last_lsn, std::string* error);
 
   // First LSN still present in the segment files (0 when the log holds no
   // records). Checkpoints prune covered segments, so a follower whose

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -195,6 +196,42 @@ TEST_F(WriteSideTest, PseudoHostGetsFilteredAfterThreshold) {
   auto more = HttpRecord(middlebox, 4000, Timestamp{10}, "Canned");
   write_.IngestScan(more);
   EXPECT_EQ(write_.tracked_count(), 0u);
+}
+
+TEST_F(WriteSideTest, PseudoHostSuppressionPublishesEachRemoval) {
+  const IPv4Address middlebox(99);
+  std::vector<ServiceKey> removed;
+  std::size_t found = 0;
+  bus_.Subscribe([&](const PipelineEvent& ev) {
+    if (ev.kind == storage::EventKind::kServiceRemoved) {
+      removed.push_back(ev.key);
+    } else if (ev.kind == storage::EventKind::kServiceFound) {
+      ++found;
+    }
+  });
+  for (Port port = 1000; port < 1030; ++port) {
+    auto record = HttpRecord(middlebox, port, Timestamp{0}, "Canned");
+    record.banner = "Server: middlebox";
+    write_.IngestScan(record);
+  }
+  ASSERT_TRUE(write_.IsPseudoFlagged(middlebox));
+  bus_.Drain();
+
+  // Subscribers (the engine's pivot tables) hear of every service the
+  // journal removed, one event each, as they do for evictions.
+  std::size_t journaled = 0;
+  for (const auto& event : journal_.History("0.0.0.99")) {
+    if (event.kind == storage::EventKind::kServiceRemoved) ++journaled;
+  }
+  EXPECT_GT(journaled, 0u);
+  EXPECT_EQ(removed.size(), journaled);
+  EXPECT_EQ(removed.size(), found);
+  std::set<std::uint64_t> distinct;
+  for (const ServiceKey& key : removed) {
+    EXPECT_EQ(key.ip, middlebox);
+    distinct.insert(key.Pack());
+  }
+  EXPECT_EQ(distinct.size(), removed.size());
 }
 
 TEST_F(WriteSideTest, DiverseServicesOnOneHostAreNotPseudo) {

@@ -1,5 +1,6 @@
-// Replicated read serving: shipment codec framing, read-only WAL tailing,
-// follower bootstrap/apply/NACK semantics, 10-seed chaos convergence
+// Replicated read serving: read-only WAL tailing, follower
+// bootstrap/apply/NACK semantics over shipped WAL frames (whole, bit-flipped,
+// torn and hand-crafted runs), 10-seed chaos convergence
 // (digest equality at equal watermarks under a lossy/reordering/corrupting
 // link), crash-mid-apply re-bootstrap, the pure RouterPolicy state machine
 // (simulated clock, no sleeps), and the ReplicaRouter's
@@ -20,10 +21,10 @@
 #include "pipeline/write_side.h"
 #include "replicate/follower.h"
 #include "replicate/group.h"
-#include "replicate/shipment.h"
 #include "serving/frontend.h"
 #include "serving/replica_router.h"
 #include "serving/router_policy.h"
+#include "storage/frame.h"
 #include "storage/journal.h"
 #include "storage/wal.h"
 #include "test_tmpdir.h"
@@ -55,80 +56,44 @@ void ApplyOp(storage::EventJournal& journal, int i) {
                  Timestamp{static_cast<std::int64_t>(i + 1)}, delta);
 }
 
+// The shipment a pump builds: the leader's WAL frames for (from, end], at
+// most `max` of them (0 = all), exactly as ReadTail returns them.
+Shipment ShipmentOf(storage::EventJournal& journal, std::uint64_t from,
+                    std::uint64_t end, std::size_t max = 0) {
+  Shipment shipment{.prev_lsn = from, .last_lsn = from, .frames = {}};
+  std::string error;
+  EXPECT_TRUE(journal.wal()->ReadTail(from, end, max, &shipment.frames,
+                                      &shipment.last_lsn, &error))
+      << error;
+  return shipment;
+}
+
+// Where each frame of a run starts (and, last, where the run ends).
+std::vector<std::size_t> FrameStarts(const std::string& frames) {
+  std::vector<std::size_t> starts = {0};
+  while (starts.back() < frames.size()) {
+    const storage::Frame frame = storage::ParseFrame(frames, starts.back());
+    EXPECT_EQ(frame.status, storage::FrameStatus::kWhole);
+    if (frame.status != storage::FrameStatus::kWhole) break;
+    starts.push_back(starts.back() + frame.size);
+  }
+  return starts;
+}
+
 std::vector<storage::WalRecord> TailOf(storage::EventJournal& journal,
                                        std::uint64_t from, std::uint64_t end,
                                        std::size_t max = 0) {
+  const Shipment shipment = ShipmentOf(journal, from, end, max);
   std::vector<storage::WalRecord> records;
-  std::string error;
-  EXPECT_TRUE(journal.wal()->ReadTail(from, end, max, &records, &error))
-      << error;
+  const std::vector<std::size_t> starts = FrameStarts(shipment.frames);
+  for (std::size_t i = 0; i + 1 < starts.size(); ++i) {
+    auto record = storage::DecodeWalPayload(
+        storage::ParseFrame(shipment.frames, starts[i]).payload);
+    EXPECT_TRUE(record.has_value());
+    if (record.has_value()) records.push_back(std::move(*record));
+  }
+  EXPECT_EQ(shipment.last_lsn, records.empty() ? from : records.back().lsn);
   return records;
-}
-
-// ----------------------------------------------------------- shipment codec
-
-TEST(ShipmentCodecTest, RoundTripsARecordRun) {
-  std::vector<storage::WalRecord> records;
-  for (int i = 0; i < 4; ++i) {
-    storage::WalRecord r;
-    r.lsn = 10 + static_cast<std::uint64_t>(i);
-    r.entity = "host/" + std::to_string(i);
-    r.kind = static_cast<std::uint8_t>(storage::EventKind::kServiceChanged);
-    r.at = Timestamp{100 + i};
-    r.delta.ops.push_back({storage::FieldOp::Kind::kSet, "f", "v"});
-    records.push_back(std::move(r));
-  }
-  const Shipment shipment = EncodeShipment(9, records);
-  EXPECT_EQ(shipment.prev_lsn, 9u);
-  EXPECT_EQ(shipment.last_lsn, 13u);
-
-  const DecodedShipment decoded = DecodeShipment(shipment);
-  EXPECT_EQ(decoded.corrupt_frames, 0u);
-  EXPECT_EQ(decoded.truncated_bytes, 0u);
-  ASSERT_EQ(decoded.records.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(decoded.records[i].lsn, records[i].lsn);
-    EXPECT_EQ(decoded.records[i].entity, records[i].entity);
-    ASSERT_EQ(decoded.records[i].delta.ops.size(), 1u);
-    EXPECT_EQ(decoded.records[i].delta.ops[0].value, "v");
-  }
-}
-
-TEST(ShipmentCodecTest, BitFlipCutsDecodeAtTheBadFrame) {
-  std::vector<storage::WalRecord> records;
-  for (int i = 0; i < 3; ++i) {
-    storage::WalRecord r;
-    r.lsn = 1 + static_cast<std::uint64_t>(i);
-    r.entity = "e";
-    r.at = Timestamp{i};
-    r.delta.ops.push_back({storage::FieldOp::Kind::kSet, "f", "v"});
-    records.push_back(std::move(r));
-  }
-  Shipment shipment = EncodeShipment(0, records);
-  // Flip a payload bit in the middle frame: frame 0 survives, the CRC
-  // kills frame 1, and the decoder refuses to resynchronize past it.
-  const std::size_t frame_bytes = shipment.frames.size() / 3;
-  shipment.frames[frame_bytes + 9] ^= 0x10;
-  const DecodedShipment decoded = DecodeShipment(shipment);
-  EXPECT_EQ(decoded.records.size(), 1u);
-  EXPECT_EQ(decoded.corrupt_frames, 1u);
-}
-
-TEST(ShipmentCodecTest, TornTailYieldsTheValidPrefix) {
-  std::vector<storage::WalRecord> records;
-  for (int i = 0; i < 3; ++i) {
-    storage::WalRecord r;
-    r.lsn = 1 + static_cast<std::uint64_t>(i);
-    r.entity = "e";
-    r.at = Timestamp{i};
-    r.delta.ops.push_back({storage::FieldOp::Kind::kSet, "f", "v"});
-    records.push_back(std::move(r));
-  }
-  Shipment shipment = EncodeShipment(0, records);
-  shipment.frames.resize(shipment.frames.size() - 5);  // tear mid-frame
-  const DecodedShipment decoded = DecodeShipment(shipment);
-  EXPECT_EQ(decoded.records.size(), 2u);
-  EXPECT_GT(decoded.truncated_bytes, 0u);
 }
 
 // ------------------------------------------------------------- WAL tailing
@@ -191,7 +156,6 @@ TEST(WalReadTailTest, NeverTruncatesATornTail) {
   // A reader tailing the log sees the valid records and leaves the torn
   // bytes exactly where they were — truncation is Recover's job.
   storage::EventJournal journal(DurableOptions(dir));
-  std::vector<storage::WalRecord> records;
   std::string error;
   ASSERT_TRUE(journal.wal()->Open(&error)) << error;
   // Recovery (Open via the journal constructor) already trimmed the torn
@@ -203,8 +167,7 @@ TEST(WalReadTailTest, NeverTruncatesATornTail) {
     std::fclose(f);
   }
   const auto dirty = std::filesystem::file_size(newest);
-  ASSERT_TRUE(journal.wal()->ReadTail(0, end, 0, &records, &error)) << error;
-  EXPECT_EQ(records.size(), end);
+  EXPECT_EQ(TailOf(journal, 0, end).size(), end);
   EXPECT_EQ(std::filesystem::file_size(newest), dirty);
 }
 
@@ -240,10 +203,8 @@ TEST(FollowerTest, NacksGapsSkipsDuplicatesAppliesInOrder) {
 
   for (int i = 0; i < 10; ++i) ApplyOp(leader, i);
   const std::uint64_t end = leader.wal()->last_lsn();
-  const auto head = TailOf(leader, 0, 5);
-  const auto tail = TailOf(leader, 5, end);
-  const Shipment first = EncodeShipment(0, head);
-  const Shipment second = EncodeShipment(5, tail);
+  const Shipment first = ShipmentOf(leader, 0, 5);
+  const Shipment second = ShipmentOf(leader, 5, end);
 
   // The successor run arrives first: gap, nothing applied.
   EXPECT_EQ(f.Apply(second).status, Follower::Ingest::kGap);
@@ -270,6 +231,145 @@ TEST(FollowerTest, NacksGapsSkipsDuplicatesAppliesInOrder) {
   EXPECT_EQ(f.Digest(), JournalDigest(leader));
 }
 
+TEST(FollowerTest, AppliesAShippedRunOfLeaderFrames) {
+  const std::string dir = ScratchDir("follower_run");
+  storage::EventJournal leader(DurableOptions(dir));
+  ReplicationGroup group(leader);
+  Follower& f = group.AddFollower("f0");
+  std::string error;
+  ASSERT_TRUE(group.BootstrapFollower(0, &error)) << error;
+  for (int i = 0; i < 13; ++i) ApplyOp(leader, i);
+  ASSERT_EQ(leader.wal()->last_lsn(), 13u);
+
+  const Shipment head = ShipmentOf(leader, 0, 9);
+  const Shipment run = ShipmentOf(leader, 9, 13);
+  EXPECT_EQ(run.prev_lsn, 9u);
+  EXPECT_EQ(run.last_lsn, 13u);
+  EXPECT_EQ(FrameStarts(run.frames).size(), 5u);  // 4 frames
+
+  ASSERT_EQ(f.Apply(head).status, Follower::Ingest::kApplied);
+  const auto result = f.Apply(run);
+  EXPECT_EQ(result.status, Follower::Ingest::kApplied);
+  EXPECT_EQ(result.applied_records, 4u);
+  EXPECT_EQ(f.applied_lsn(), 13u);
+  EXPECT_EQ(f.corrupt_shipments(), 0u);
+  // Every record (entity, delta, timestamp) landed as the leader logged it.
+  EXPECT_EQ(f.Digest(), JournalDigest(leader));
+  for (int e = 0; e < kEntities; ++e) {
+    const std::string entity = "host/" + std::to_string(e);
+    const auto mine = f.journal().History(entity);
+    const auto theirs = leader.History(entity);
+    ASSERT_EQ(mine.size(), theirs.size()) << entity;
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      EXPECT_EQ(mine[i].at.minutes, theirs[i].at.minutes) << entity;
+      EXPECT_EQ(mine[i].delta.Encode(), theirs[i].delta.Encode()) << entity;
+    }
+  }
+}
+
+TEST(FollowerTest, BitFlipAppliesThePrefixBeforeTheBadFrame) {
+  const std::string dir = ScratchDir("follower_bitflip");
+  storage::EventJournal leader(DurableOptions(dir));
+  ReplicationGroup group(leader);
+  Follower& f = group.AddFollower("f0");
+  std::string error;
+  ASSERT_TRUE(group.BootstrapFollower(0, &error)) << error;
+  for (int i = 0; i < 3; ++i) ApplyOp(leader, i);
+
+  // Flip a payload bit in the middle frame: frame 0 applies, the CRC
+  // kills frame 1, and the follower refuses to resynchronize past it.
+  Shipment shipment = ShipmentOf(leader, 0, 3);
+  const std::vector<std::size_t> starts = FrameStarts(shipment.frames);
+  ASSERT_EQ(starts.size(), 4u);
+  shipment.frames[starts[1] + storage::kFrameHeader + 1] ^= 0x10;
+  const auto result = f.Apply(shipment);
+  EXPECT_EQ(result.status, Follower::Ingest::kCorrupt);
+  EXPECT_EQ(result.applied_records, 1u);
+  EXPECT_EQ(f.applied_lsn(), 1u);
+  EXPECT_EQ(f.corrupt_shipments(), 1u);
+}
+
+TEST(FollowerTest, TornShipmentAppliesItsPrefixAndIsCorrupt) {
+  const std::string dir = ScratchDir("follower_torn");
+  storage::EventJournal leader(DurableOptions(dir));
+  ReplicationGroup group(leader);
+  Follower& f = group.AddFollower("f0");
+  std::string error;
+  ASSERT_TRUE(group.BootstrapFollower(0, &error)) << error;
+  for (int i = 0; i < 4; ++i) ApplyOp(leader, i);
+
+  // Torn mid-frame: the two whole frames apply, and the shipment is
+  // NACKed exactly as a bit flip is.
+  Shipment torn = ShipmentOf(leader, 0, 3);
+  torn.frames.resize(torn.frames.size() - 5);
+  auto result = f.Apply(torn);
+  EXPECT_EQ(result.status, Follower::Ingest::kCorrupt);
+  EXPECT_EQ(result.applied_records, 2u);
+  EXPECT_EQ(f.applied_lsn(), 2u);
+  EXPECT_EQ(f.corrupt_shipments(), 1u);
+
+  // Torn on a frame boundary: the run still ends short of last_lsn.
+  Shipment cut = ShipmentOf(leader, 2, 4);
+  cut.frames.resize(FrameStarts(cut.frames)[1]);
+  result = f.Apply(cut);
+  EXPECT_EQ(result.status, Follower::Ingest::kCorrupt);
+  EXPECT_EQ(result.applied_records, 1u);
+  EXPECT_EQ(f.applied_lsn(), 3u);
+  EXPECT_EQ(f.corrupt_shipments(), 2u);
+
+  EXPECT_EQ(f.Apply(ShipmentOf(leader, 3, 4)).status,
+            Follower::Ingest::kApplied);
+  EXPECT_EQ(f.Digest(), JournalDigest(leader));
+
+#if defined(CENSYSIM_FAULT_INJECTION)
+  // On the link: one torn shipment is one NACK, and the next pump heals it.
+  for (int i = 4; i < 10; ++i) ApplyOp(leader, i);
+  {
+    fault::ScopedPlan plan(3, {{.point = "replicate.ship",
+                                .mode = fault::Mode::kTornWrite,
+                                .max_fires = 1}});
+    ASSERT_TRUE(group.PumpFollower(0, &error)) << error;
+  }
+  EXPECT_EQ(group.corrupted(), 1u);
+  EXPECT_EQ(group.nacks(), 1u);
+  EXPECT_EQ(f.corrupt_shipments(), 3u);
+  EXPECT_LT(f.applied_lsn(), group.leader_lsn());
+  ASSERT_TRUE(group.CatchUp(0, 10, &error)) << error;
+  EXPECT_EQ(group.nacks(), 1u);
+  EXPECT_EQ(f.Digest(), JournalDigest(leader));
+#endif  // CENSYSIM_FAULT_INJECTION
+}
+
+TEST(FollowerTest, HandCraftedRunsThatDoNotDecodeOrChainAreCorrupt) {
+  const std::string dir = ScratchDir("follower_crafted");
+  storage::EventJournal leader(DurableOptions(dir));
+  ReplicationGroup group(leader);
+  Follower& f = group.AddFollower("f0");
+  std::string error;
+  ASSERT_TRUE(group.BootstrapFollower(0, &error)) << error;
+  for (int i = 0; i < 6; ++i) ApplyOp(leader, i);
+
+  // A frame whose checksum holds but whose payload is not a WAL record
+  // ends the run like a corrupt one.
+  Shipment garbage = ShipmentOf(leader, 0, 2);
+  storage::AppendFrame(garbage.frames, "not a wal record");
+  garbage.last_lsn = 3;
+  auto result = f.Apply(garbage);
+  EXPECT_EQ(result.status, Follower::Ingest::kCorrupt);
+  EXPECT_EQ(result.applied_records, 2u);
+  EXPECT_EQ(f.applied_lsn(), 2u);
+
+  // A hole inside the run (LSN 4 missing) stops it at the hole.
+  Shipment holed = ShipmentOf(leader, 2, 3);
+  holed.frames += ShipmentOf(leader, 4, 6).frames;
+  holed.last_lsn = 6;
+  result = f.Apply(holed);
+  EXPECT_EQ(result.status, Follower::Ingest::kCorrupt);
+  EXPECT_EQ(result.applied_records, 1u);
+  EXPECT_EQ(f.applied_lsn(), 3u);
+  EXPECT_EQ(f.corrupt_shipments(), 2u);
+}
+
 TEST(FollowerTest, KilledFollowerDropsShipmentsUntilRebootstrap) {
   const std::string dir = ScratchDir("follower_kill");
   storage::EventJournal leader(DurableOptions(dir));
@@ -281,8 +381,7 @@ TEST(FollowerTest, KilledFollowerDropsShipmentsUntilRebootstrap) {
 
   f.Kill();
   EXPECT_FALSE(f.serving());
-  const auto records = TailOf(leader, 0, leader.wal()->last_lsn());
-  EXPECT_EQ(f.Apply(EncodeShipment(0, records)).status,
+  EXPECT_EQ(f.Apply(ShipmentOf(leader, 0, leader.wal()->last_lsn())).status,
             Follower::Ingest::kDead);
   EXPECT_EQ(f.applied_lsn(), 0u);
 
