@@ -60,7 +60,7 @@ interrogate::ServiceRecord HostRecord(IPv4Address ip, Timestamp at,
 class ScaleoutRig {
  public:
   ScaleoutRig(const std::string& dir, std::size_t replicas, int router_threads)
-      : journal_(DurableOptions(dir)), write_(journal_, bus_),
+      : journal_(DurableOptions(dir)), write_(journal_),
         group_(journal_) {
     for (int round = 1; round <= kWriteRounds; ++round) {
       for (std::uint32_t h = 1; h <= kHosts; ++h) {
@@ -97,7 +97,6 @@ class ScaleoutRig {
 
  private:
   storage::EventJournal journal_;
-  pipeline::EventBus bus_;
   pipeline::WriteSide write_;
   replicate::ReplicationGroup group_;
   std::vector<std::unique_ptr<serving::ServingFrontend>> frontends_;

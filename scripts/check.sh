@@ -54,13 +54,15 @@ run_plain() {
 
 # The sanitizer-relevant subset: every test that spawns threads, plus the
 # engine determinism checks that exercise the parallel executor, plus the
-# WAL crash-recovery torture loop (fault unwinding + POSIX I/O under ASan).
+# pivot-table oracle (the commit-stream observer runs inside group commit),
+# plus the WAL crash-recovery torture loop (fault unwinding + POSIX I/O
+# under ASan).
 SAN_TESTS=(
   "serving_test:"
   "storage_test:JournalConcurrencyTest.*:Wal*"
   "pipeline_test:ReadSideTest.LookupsRunConcurrentlyWithIngest"
   "search_test:IndexTest.*:IndexConcurrencyTest.*"
-  "engines_test:WorldDeterminismTest.Parallel*:WorldDeterminismTest.GroupCommit*:TickReportTest.*"
+  "engines_test:WorldDeterminismTest.Parallel*:WorldDeterminismTest.GroupCommit*:TickReportTest.*:PivotOracleTest.*"
   "core_test:ExecutorTest.*:FaultInjectorTest.*:Crc32cTest.*"
   "failure_injection_test:WalTortureTest.*:WalFaultTest.*:TickPipelineFaultTest.*"
   "trace_test:"

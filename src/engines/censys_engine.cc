@@ -25,6 +25,31 @@ std::vector<Port> BuildPriorityPorts(const simnet::PortModel& ports,
   return list;
 }
 
+// Secondary pivot tables (§5.2) from one applied event: each service the
+// delta names is re-observed from the post-state, or forgotten when the
+// post-state no longer holds it. Reads only the event: the observer runs
+// inside the write side's group-commit flush.
+void UpdatePivots(search::PivotIndex& pivots,
+                  const storage::AppliedEvent& event) {
+  const std::optional<IPv4Address> ip = IPv4Address::Parse(event.entity_id);
+  if (!ip.has_value()) return;  // not a host entity
+  std::vector<ServiceKey> keys;
+  for (const storage::FieldOp& op : event.delta->ops) {
+    if (const auto key = pipeline::ServiceKeyOf(op.key, *ip)) {
+      keys.push_back(*key);
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  for (const ServiceKey key : keys) {
+    if (const auto record = pipeline::RecordFrom(*event.post_state, key)) {
+      pivots.Observe(key, record->cert_sha256, record->jarm);
+    } else {
+      pivots.Forget(key);
+    }
+  }
+}
+
 }  // namespace
 
 CensysEngine::CensysEngine(simnet::Internet& net, cert::CtLog& ct_log,
@@ -52,7 +77,7 @@ CensysEngine::CensysEngine(simnet::Internet& net, cert::CtLog& ct_log,
       });
   predictive_ = std::make_unique<predict::PredictiveEngine>(net_.blocks(),
                                                             config_.seed);
-  write_side_ = std::make_unique<pipeline::WriteSide>(journal_, bus_,
+  write_side_ = std::make_unique<pipeline::WriteSide>(journal_,
                                                       config_.write_options);
   tick_pipeline_ = std::make_unique<TickPipeline>(
       *executor_, *interrogator_, *write_side_, *predictive_,
@@ -88,20 +113,14 @@ CensysEngine::CensysEngine(simnet::Internet& net, cert::CtLog& ct_log,
     scheduler_->AddClass(std::move(cloud_class));
   }
 
-  // Asynchronous event processing (§5.2): maintain the secondary pivot
-  // tables from journaled events, off the ingest path.
-  bus_.Subscribe([this](const pipeline::PipelineEvent& event) {
-    if (event.kind == storage::EventKind::kServiceRemoved) {
-      pivots_.Forget(event.key);
-      return;
-    }
-    const core::ThreadRoleGuard role(journal_.command_role());
-    const storage::FieldMap* state = journal_.CurrentState(event.entity_id);
-    if (state == nullptr) return;
-    const auto record = pipeline::RecordFrom(*state, event.key);
-    if (!record.has_value()) return;
-    pivots_.Observe(event.key, record->cert_sha256, record->jarm);
-  });
+  // Event processing (§5.2): the secondary pivot tables follow the
+  // journal's commit stream.
+  journal_.SetCommitObserver(
+      [this](const std::vector<storage::AppliedEvent>& batch) {
+        for (const storage::AppliedEvent& event : batch) {
+          UpdatePivots(pivots_, event);
+        }
+      });
 
   if (config_.enable_background) {
     scan::ScheduledClass background;
@@ -215,7 +234,6 @@ void CensysEngine::Bootstrap(Timestamp t0) {
     write_side_->IngestScan(record);
     predictive_->ObserveService(svc.key);
   }
-  bus_.Drain();
 }
 
 void CensysEngine::RunInterrogationBatch(
@@ -500,12 +518,11 @@ void CensysEngine::Tick(Timestamp from, Timestamp to) {
     stats.daily_us = timer.ElapsedMicros();
   }
 
-  // Final stage: eviction sweep and async event delivery.
+  // Final stage: eviction sweep.
   {
     metrics::ScopedTimer timer(stage_commit_metric_);
     TRACE_SPAN("engine", "stage.commit");
     write_side_->AdvanceTo(to);
-    stats.bus_events = bus_.Drain();
     stats.commit_us = timer.ElapsedMicros();
   }
 
@@ -603,25 +620,12 @@ std::optional<interrogate::ServiceRecord> CensysEngine::RequestScan(
   } else if (write_side_->GetState(key) != nullptr) {
     write_side_->IngestFailure(key, now);
   }
-  bus_.Drain();
   return record;
 }
 
 std::size_t CensysEngine::RebuildSearchIndex() {
   const metrics::ScopedTimer timer(rebuild_metric_);
-  std::size_t indexed = 0;
-  journal_.ForEachEntity(
-      [&](std::string_view entity_id, const storage::FieldMap& fields) {
-        // An emptied entity may still hold a document from an earlier
-        // rebuild; Remove is a no-op when it does not.
-        if (fields.empty()) {
-          index_.Remove(entity_id);
-          return;
-        }
-        index_.Index(entity_id, fields);
-        ++indexed;
-      });
-  return indexed;
+  return search::IndexJournal(journal_, index_);
 }
 
 }  // namespace censys::engines

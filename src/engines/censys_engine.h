@@ -7,7 +7,7 @@
 //            a core::Executor thread pool                          §4.2
 //   stage 4  validation + deterministic in-sequence commit
 //   stage 5  CQRS write side -> Bigtable-style event journal       §5.2
-//            -> async event bus -> read side + enrichment
+//            -> commit stream -> pivot tables; read side + enrichment
 //   plus: predictive scanning, daily refresh, 72-hour
 //   eviction with 60-day re-injection, CT polling, web
 //   properties, daily analytics snapshots.                         §4.1–5.3
@@ -61,13 +61,12 @@ struct TickStats {
   std::uint64_t ingests = 0;         // stage-5 records ingested
   std::uint64_t failures = 0;        // failed refreshes ingested
   std::uint64_t journal_events = 0;  // journal rows written
-  std::uint64_t bus_events = 0;      // async events drained
 
   double discovery_us = 0;    // stage 1
   double interrogate_us = 0;  // stages 2-5 for discovered candidates
   double refresh_us = 0;      // refresh + predictive re-interrogation
   double daily_us = 0;        // daily jobs (reinjection, CT, analytics)
-  double commit_us = 0;       // eviction sweep + event-bus drain
+  double commit_us = 0;       // eviction sweep
   double total_us = 0;
 
   // Overlapped interrogation pipeline (stages 3-5) detail, summed over
@@ -211,8 +210,9 @@ class CensysEngine : public ScanEngine {
   std::optional<interrogate::ServiceRecord> RequestScan(ServiceKey key,
                                                         Timestamp now);
 
-  // Rebuilds the full-text index from current entity state; returns the
-  // number of indexed documents.
+  // Rebuilds the full-text index from current entity state (the walk a
+  // follower bootstrap shares, search::IndexJournal); returns the number
+  // of indexed documents.
   std::size_t RebuildSearchIndex();
   const search::SearchIndex& search_index() const { return index_; }
 
@@ -252,7 +252,6 @@ class CensysEngine : public ScanEngine {
   std::unique_ptr<predict::PredictiveEngine> predictive_;
 
   storage::EventJournal journal_;
-  pipeline::EventBus bus_;
   cert::RootStore roots_;
   cert::CrlStore crls_;
   cert::CertificateStore cert_store_{roots_, crls_};

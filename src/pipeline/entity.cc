@@ -34,30 +34,34 @@ storage::FieldMap ServiceFields(const ServiceRecord& record) {
   return out;
 }
 
+std::optional<ServiceKey> ServiceKeyOf(std::string_view field,
+                                       IPv4Address ip) {
+  if (!StartsWith(field, "svc.")) return std::nullopt;
+  const std::size_t dot = field.find('.', 4);
+  if (dot == std::string_view::npos) return std::nullopt;
+  // spec is "<port>/<transport>".
+  const std::string_view spec = field.substr(4, dot - 4);
+  const std::size_t slash = spec.find('/');
+  if (slash == std::string_view::npos) return std::nullopt;
+  unsigned port = 0;
+  const auto* begin = spec.data();
+  if (std::from_chars(begin, begin + slash, port).ec != std::errc()) {
+    return std::nullopt;
+  }
+  const Transport transport =
+      spec.substr(slash + 1) == "udp" ? Transport::kUdp : Transport::kTcp;
+  return ServiceKey{ip, static_cast<Port>(port), transport};
+}
+
 std::vector<ServiceKey> ServicesIn(const storage::FieldMap& entity_state,
                                    IPv4Address ip) {
+  // A service's fields sort contiguously, so each key shows up as one run.
   std::vector<ServiceKey> keys;
-  std::string last_prefix;
   for (const auto& [field, value] : entity_state) {
-    if (!StartsWith(field, "svc.")) continue;
-    const std::size_t dot = field.find('.', 4);
-    if (dot == std::string::npos) continue;
-    const std::string prefix = field.substr(0, dot);
-    if (prefix == last_prefix) continue;
-    last_prefix = prefix;
-
-    // prefix is "svc.<port>/<transport>".
-    const std::string_view spec = std::string_view(prefix).substr(4);
-    const std::size_t slash = spec.find('/');
-    if (slash == std::string_view::npos) continue;
-    unsigned port = 0;
-    const auto* begin = spec.data();
-    if (std::from_chars(begin, begin + slash, port).ec != std::errc())
-      continue;
-    const Transport transport = spec.substr(slash + 1) == "udp"
-                                    ? Transport::kUdp
-                                    : Transport::kTcp;
-    keys.push_back(ServiceKey{ip, static_cast<Port>(port), transport});
+    const std::optional<ServiceKey> key = ServiceKeyOf(field, ip);
+    if (key.has_value() && (keys.empty() || keys.back() != *key)) {
+      keys.push_back(*key);
+    }
   }
   return keys;
 }

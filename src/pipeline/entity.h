@@ -8,6 +8,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pipeline/record.h"
@@ -26,6 +27,11 @@ std::string ServicePrefix(ServiceKey key);
 
 // Projects one service's record into entity-level fields (prefix applied).
 storage::FieldMap ServiceFields(const ServiceRecord& record);
+
+// The service a host field belongs to ("svc.<port>/<transport>.<field>"
+// on host `ip`); nullopt for a field outside every service.
+std::optional<ServiceKey> ServiceKeyOf(std::string_view field,
+                                       IPv4Address ip);
 
 // Extracts the service keys present in an entity state.
 std::vector<ServiceKey> ServicesIn(const storage::FieldMap& entity_state,

@@ -8,20 +8,8 @@
 
 namespace censys::pipeline {
 
-std::size_t EventBus::Drain() {
-  std::size_t delivered = 0;
-  while (!queue_.empty()) {
-    const PipelineEvent event = std::move(queue_.front());
-    queue_.pop_front();
-    for (const Handler& handler : handlers_) handler(event);
-    ++delivered;
-  }
-  return delivered;
-}
-
-WriteSide::WriteSide(storage::EventJournal& journal, EventBus& bus,
-                     Options options)
-    : journal_(journal), bus_(bus), options_(options) {}
+WriteSide::WriteSide(storage::EventJournal& journal, Options options)
+    : journal_(journal), options_(options) {}
 
 void WriteSide::BindMetrics(metrics::Registry* registry) {
   ingest_metric_ =
@@ -100,9 +88,6 @@ void WriteSide::IngestScanLocked(const ServiceRecord& record,
           if (!delta.empty()) {
             journal_.Append(entity, storage::EventKind::kServiceRemoved,
                             record.observed_at, delta);
-            bus_.Publish(PipelineEvent{entity, key,
-                                       storage::EventKind::kServiceRemoved,
-                                       record.observed_at});
           }
           states_.erase(key.Pack());
           pseudo_suppressed_.fetch_add(1, std::memory_order_relaxed);
@@ -144,14 +129,11 @@ void WriteSide::IngestScanLocked(const ServiceRecord& record,
                                         ? storage::EventKind::kServiceChanged
                                         : storage::EventKind::kServiceFound;
     if (batching_) {
-      staged_bus_.push_back(
-          PipelineEvent{entity, record.key, kind, record.observed_at});
       staged_events_.push_back(storage::EventJournal::PendingEvent{
           std::move(entity), kind, record.observed_at, std::move(delta)});
       staged_hosts_.insert(host);
     } else {
       journal_.Append(entity, kind, record.observed_at, delta);
-      bus_.Publish(PipelineEvent{entity, record.key, kind, record.observed_at});
     }
   }
   tracked_metric_.Set(static_cast<std::int64_t>(states_.size()));
@@ -179,22 +161,15 @@ void WriteSide::FlushCommitBatchLocked() {
   if (staged_events_.empty()) return;
   TRACE_SPAN_VAR(span, "pipeline", "commit_batch.flush");
   span.SetArg("events", std::to_string(staged_events_.size()));
-  // One journal batch append (one WAL write, at most one fsync), then the
-  // bus events in the same sequence order the scans committed in. The
-  // staged events move into the append; on a WAL failure or injected
-  // crash the batch is rejected (or lost) as a unit, so the staging
-  // buffers are cleared either way.
+  // One journal batch append (one WAL write, at most one fsync); the
+  // journal's commit observers see the events in the sequence order the
+  // scans committed in. The staged events move into the append; on a WAL
+  // failure or injected crash the batch is rejected (or lost) as a unit,
+  // so the staging buffers are cleared either way.
   std::vector<storage::EventJournal::PendingEvent> batch;
   batch.swap(staged_events_);
   staged_hosts_.clear();
-  try {
-    journal_.AppendBatch(std::move(batch));
-  } catch (...) {
-    staged_bus_.clear();
-    throw;
-  }
-  for (PipelineEvent& event : staged_bus_) bus_.Publish(std::move(event));
-  staged_bus_.clear();
+  journal_.AppendBatch(std::move(batch));
   batch_flushes_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -246,8 +221,6 @@ void WriteSide::Evict(const ServiceState& state, Timestamp now) {
     const storage::Delta delta = RemoveServiceDelta(*current, state.key);
     if (!delta.empty()) {
       journal_.Append(entity, storage::EventKind::kServiceRemoved, now, delta);
-      bus_.Publish(PipelineEvent{entity, state.key,
-                                 storage::EventKind::kServiceRemoved, now});
     }
   }
   states_.erase(state.key.Pack());

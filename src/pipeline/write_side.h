@@ -1,13 +1,15 @@
 // CQRS write side (§5.2).
 //
 // Inbound scans are commands: the processor retrieves the entity's current
-// state, computes an update delta, journals the resulting event (found /
-// changed / removed), and enqueues it for asynchronous downstream
-// processing. The write side also owns scan-state that is deliberately NOT
-// journaled (last-seen times, pending-eviction marks) and implements the
-// eviction policy of §4.6: pending eviction after the first failed refresh,
-// removal after 72 hours, with removed services remembered for 60 days so
-// the predictive engine can re-inject them.
+// state, computes an update delta, and journals the resulting event (found /
+// changed / removed). Downstream processing (the secondary pivot tables,
+// standing queries) subscribes to the journal's commit stream
+// (EventJournal::SetCommitObserver), never to the write side. The write
+// side also owns scan-state that is deliberately NOT journaled (last-seen
+// times, pending-eviction marks) and implements the eviction policy of
+// §4.6: pending eviction after the first failed refresh, removal after 72
+// hours, with removed services remembered for 60 days so the predictive
+// engine can re-inject them.
 //
 // Concurrency: there is exactly one command thread (the engine tick loop),
 // but the serving layer reads scan-state from many threads concurrently.
@@ -43,36 +45,6 @@ struct ServiceState {
   std::optional<Timestamp> pending_eviction_since;
 };
 
-// An event published on the async bus after journaling.
-struct PipelineEvent {
-  std::string entity_id;
-  ServiceKey key;
-  storage::EventKind kind = storage::EventKind::kEntityUpdated;
-  Timestamp at;
-};
-
-// Asynchronous event processing: events are queued during ingestion and
-// drained by the engine loop ("the write side processor enqueues any
-// resulting update events for additional processing", §5.2). Single-threaded
-// by design: publish and drain both happen on the command thread.
-class EventBus {
- public:
-  using Handler = std::function<void(const PipelineEvent&)>;
-
-  void Subscribe(Handler handler) { handlers_.push_back(std::move(handler)); }
-  void Publish(PipelineEvent event) { queue_.push_back(std::move(event)); }
-
-  // Delivers all queued events (events published during drain are also
-  // delivered). Returns the number delivered.
-  std::size_t Drain();
-
-  std::size_t pending() const { return queue_.size(); }
-
- private:
-  std::vector<Handler> handlers_;
-  std::deque<PipelineEvent> queue_;
-};
-
 class WriteSide {
  public:
   struct Options {
@@ -85,9 +57,9 @@ class WriteSide {
     bool filter_pseudo_services = true;
   };
 
-  WriteSide(storage::EventJournal& journal, EventBus& bus)
-      : WriteSide(journal, bus, Options()) {}
-  WriteSide(storage::EventJournal& journal, EventBus& bus, Options options);
+  explicit WriteSide(storage::EventJournal& journal)
+      : WriteSide(journal, Options()) {}
+  WriteSide(storage::EventJournal& journal, Options options);
 
   // The pseudo-service content hash IngestScan buckets records by. Exposed
   // so interrogation workers can precompute it off the command thread.
@@ -112,10 +84,11 @@ class WriteSide {
   // Between Begin and End, journal appends from IngestScan are staged
   // rather than written through: FlushCommitBatch (or End, or an ingest
   // that revisits an entity with a staged event — the delta must diff
-  // against applied state) drains them with ONE journal/WAL batch append.
-  // Bus events stage alongside and publish at flush, still in sequence
-  // order. Command-thread only; batch boundaries never change journal
-  // content, only WAL write granularity.
+  // against applied state) drains them with ONE journal/WAL batch append,
+  // so the journal's commit observers run inside the flush, with mu_ held:
+  // an observer must never call back into the write side. Command-thread
+  // only; batch boundaries never change journal content, only WAL write
+  // granularity.
   void BeginCommitBatch();
   void FlushCommitBatch();
   void EndCommitBatch();  // flush + leave batching mode
@@ -195,7 +168,6 @@ class WriteSide {
   }
 
   storage::EventJournal& journal_;
-  EventBus& bus_;
   Options options_;
 
   // Guards every map below. Writers (IngestScan / IngestFailure /
@@ -227,7 +199,6 @@ class WriteSide {
   bool batching_ CENSYS_GUARDED_BY(mu_) = false;
   std::vector<storage::EventJournal::PendingEvent> staged_events_
       CENSYS_GUARDED_BY(mu_);
-  std::vector<PipelineEvent> staged_bus_ CENSYS_GUARDED_BY(mu_);
   // Hosts with a staged (unapplied) journal event; an ingest for one of
   // these forces a flush so its delta diffs against applied state.
   std::unordered_set<std::uint32_t> staged_hosts_ CENSYS_GUARDED_BY(mu_);

@@ -38,9 +38,22 @@ Follower::Follower(std::string name, Options options)
     : name_(std::move(name)),
       options_(std::move(options)),
       journal_(WithoutWal(options_.journal)),
-      write_side_(journal_, bus_),
+      write_side_(journal_),
       read_side_(journal_, write_side_) {
   read_side_.EnableCache();
+  // The index follows the commit stream: ApplyReplicated hands each
+  // record's post-state to this observer on the pump thread, its only
+  // writer, so the state needs no copy.
+  journal_.SetCommitObserver(
+      [this](const std::vector<storage::AppliedEvent>& batch) {
+        for (const storage::AppliedEvent& event : batch) {
+          if (event.post_state->empty()) {
+            index_.Remove(event.entity_id);  // no-op if never indexed
+          } else {
+            index_.Index(event.entity_id, *event.post_state);
+          }
+        }
+      });
 }
 
 bool Follower::Bootstrap(std::string_view snapshot, std::uint64_t lsn) {
@@ -53,10 +66,7 @@ bool Follower::Bootstrap(std::string_view snapshot, std::uint64_t lsn) {
     applied_lsn_.store(0, std::memory_order_release);
     return false;
   }
-  journal_.ForEachEntity(
-      [&](std::string_view id, const storage::FieldMap& fields) {
-        if (!fields.empty()) index_.Index(id, fields);
-      });
+  search::IndexJournal(journal_, index_);
   applied_lsn_.store(lsn, std::memory_order_release);
   bootstraps_.fetch_add(1, std::memory_order_relaxed);
   serving_.store(true, std::memory_order_release);
@@ -111,7 +121,6 @@ Follower::IngestResult Follower::Apply(const Shipment& shipment) {
       return result;
     }
     journal_.ApplyReplicated(*record);
-    UpdateIndexFor(record->entity);
     applied = record->lsn;
     applied_lsn_.store(applied, std::memory_order_release);
     applied_records_.fetch_add(1, std::memory_order_relaxed);
@@ -124,15 +133,6 @@ Follower::IngestResult Follower::Apply(const Shipment& shipment) {
     result.status = Ingest::kCorrupt;
   }
   return result;
-}
-
-void Follower::UpdateIndexFor(std::string_view entity) {
-  const auto snap = journal_.SnapshotState(entity);
-  if (!snap.has_value() || snap->fields.empty()) {
-    index_.Remove(entity);  // no-op for a doc that was never indexed
-    return;
-  }
-  index_.Index(entity, snap->fields);
 }
 
 }  // namespace censys::replicate

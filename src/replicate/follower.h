@@ -10,12 +10,13 @@
 //
 // A Follower owns a complete, WAL-less copy of the serving read path — an
 // EventJournal, a passive WriteSide (required by ReadSide, never fed scan
-// traffic), a ReadSide with its own ViewCache, a SearchIndex maintained
-// incrementally per applied record, and an empty AnalyticsStore. It
-// bootstraps from a leader snapshot (EncodeReplicaSnapshot), then tails
-// shipments: duplicate prefixes are skipped, gaps and corrupt frames are
-// NACKed for re-request, and every applied record advances the published
-// staleness watermark (applied_lsn). "replicate.apply" faults fire per
+// traffic), a ReadSide with its own ViewCache, a SearchIndex subscribed to
+// the journal's commit stream (each applied record re-indexes its entity
+// from the post-state), and an empty AnalyticsStore. It bootstraps from a
+// leader snapshot (EncodeReplicaSnapshot), then tails shipments: duplicate
+// prefixes are skipped, gaps and corrupt frames are NACKed for re-request,
+// and every applied record advances the published staleness watermark
+// (applied_lsn). "replicate.apply" faults fire per
 // shipped record: kCrash throws fault::CrashException out of Apply — the
 // SIGKILL stand-in; nothing here catches it — and any other mode stalls
 // the remainder of the shipment for a later retry.
@@ -69,9 +70,9 @@ class Follower {
 
   // --- replication protocol ---------------------------------------------------
   // (Re-)initializes from a leader snapshot covering `lsn`: resets the
-  // journal in place, rebuilds the search index, clears the view cache,
-  // and starts serving. Returns false on a corrupt snapshot (the follower
-  // stays down).
+  // journal in place, rebuilds the search index (search::IndexJournal),
+  // clears the view cache, and starts serving. Returns false on a corrupt
+  // snapshot (the follower stays down).
   bool Bootstrap(std::string_view snapshot, std::uint64_t lsn);
 
   enum class Ingest : std::uint8_t {
@@ -134,13 +135,10 @@ class Follower {
   }
 
  private:
-  void UpdateIndexFor(std::string_view entity);
-
   std::string name_;
   Options options_;
 
   storage::EventJournal journal_;
-  pipeline::EventBus bus_;
   pipeline::WriteSide write_side_;
   pipeline::ReadSide read_side_;
   search::SearchIndex index_;

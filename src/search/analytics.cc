@@ -1,21 +1,25 @@
 #include "search/analytics.h"
 
 namespace censys::search {
+namespace {
+
+// Snapshots older than this are thinned to one a week, on this weekday.
+constexpr Duration kFullRetention = Duration::Days(90);
+constexpr int kKeepWeekday = 2;
+
+}  // namespace
 
 void AnalyticsStore::AddSnapshot(DailySnapshot snapshot) {
-  command_role_.AdoptCurrentThread();
   const core::MutexLock lock(mu_);
   snapshots_[snapshot.day] = std::move(snapshot);
 }
 
 std::size_t AnalyticsStore::ThinOut(Timestamp now) {
-  command_role_.AdoptCurrentThread();
   const core::MutexLock lock(mu_);
-  const std::int64_t cutoff_day =
-      (now - options_.full_retention).minutes / (24 * 60);
+  const std::int64_t cutoff_day = (now - kFullRetention).minutes / (24 * 60);
   std::size_t dropped = 0;
   for (auto it = snapshots_.begin(); it != snapshots_.end();) {
-    if (it->first < cutoff_day && (it->first % 7) != options_.keep_weekday) {
+    if (it->first < cutoff_day && (it->first % 7) != kKeepWeekday) {
       it = snapshots_.erase(it);
       ++dropped;
     } else {
@@ -23,34 +27,6 @@ std::size_t AnalyticsStore::ThinOut(Timestamp now) {
     }
   }
   return dropped;
-}
-
-const DailySnapshot* AnalyticsStore::GetDay(std::int64_t day) const
-    CENSYS_NO_THREAD_SAFETY_ANALYSIS {
-  // Lockless: the command-thread role, not mu_, makes this read safe, so
-  // the lock-based analysis is off in this body. Debug builds abort when
-  // called from any other thread.
-  command_role_.AssertHeld();
-  const auto it = snapshots_.find(day);
-  return it == snapshots_.end() ? nullptr : &it->second;
-}
-
-const DailySnapshot* AnalyticsStore::GetLatestUpTo(std::int64_t day) const
-    CENSYS_NO_THREAD_SAFETY_ANALYSIS {
-  // Lockless command-thread fast path; see GetDay.
-  command_role_.AssertHeld();
-  auto it = snapshots_.upper_bound(day);
-  if (it == snapshots_.begin()) return nullptr;
-  --it;
-  return &it->second;
-}
-
-std::optional<DailySnapshot> AnalyticsStore::GetDayCopy(
-    std::int64_t day) const {
-  const core::ReaderLock lock(mu_);
-  const auto it = snapshots_.find(day);
-  if (it == snapshots_.end()) return std::nullopt;
-  return it->second;
 }
 
 std::optional<DailySnapshot> AnalyticsStore::GetLatestUpToCopy(

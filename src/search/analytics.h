@@ -28,39 +28,16 @@ struct DailySnapshot {
 
 // Concurrency: a reader/writer lock guards the snapshot map — writers
 // (AddSnapshot / ThinOut, the engine tick loop) exclusive, copying queries
-// shared. The pointer-returning lookups are lockless fast paths gated on
-// the command-thread capability instead of the lock.
+// shared.
 class AnalyticsStore {
  public:
-  struct Options {
-    // Snapshots older than this are thinned to one per week.
-    Duration full_retention = Duration::Days(90);
-    int keep_weekday = 2;  // day-of-week kept after thinning
-  };
-
-  AnalyticsStore() : AnalyticsStore(Options()) {}
-  explicit AnalyticsStore(Options options) : options_(options) {}
-
   void AddSnapshot(DailySnapshot snapshot);
 
-  // Applies the retention policy relative to `now`; returns snapshots
-  // dropped.
+  // Applies the retention policy relative to `now` (snapshots older than
+  // 90 days are thinned to one weekday a week); returns snapshots dropped.
   std::size_t ThinOut(Timestamp now);
 
-  // Pointer-returning lookups are lockless and therefore only safe from
-  // the thread that also writes (the engine tick loop): AddSnapshot /
-  // ThinOut can invalidate the pointer. Concurrent readers (the serving
-  // frontend) use the copying variants below. Callers hold the
-  // command-thread capability (ThreadRoleGuard); debug builds assert the
-  // calling thread at runtime.
-  const DailySnapshot* GetDay(std::int64_t day) const
-      CENSYS_REQUIRES(command_role());
   // Latest snapshot at or before `day`, if any.
-  const DailySnapshot* GetLatestUpTo(std::int64_t day) const
-      CENSYS_REQUIRES(command_role());
-
-  // Thread-safe copies for cross-thread queries.
-  std::optional<DailySnapshot> GetDayCopy(std::int64_t day) const;
   std::optional<DailySnapshot> GetLatestUpToCopy(std::int64_t day) const;
 
   // Longitudinal series: (day, count) for a protocol across all snapshots.
@@ -69,17 +46,10 @@ class AnalyticsStore {
 
   std::size_t size() const;
 
-  // The command-thread capability backing the pointer-returning lookups.
-  // Writers (AddSnapshot / ThinOut) re-stamp the command thread in debug
-  // builds.
-  const core::ThreadRole& command_role() const { return command_role_; }
-
  private:
-  Options options_;
   // Daily snapshots land during ticks while the serving frontend reads
   // series concurrently: writers exclusive, readers shared.
   mutable core::SharedMutex mu_;
-  core::ThreadRole command_role_;
   std::map<std::int64_t, DailySnapshot> snapshots_ CENSYS_GUARDED_BY(mu_);
 };
 

@@ -4,6 +4,7 @@
 
 #include "core/strings.h"
 #include "search/match.h"
+#include "storage/journal.h"
 
 namespace censys::search {
 namespace {
@@ -376,6 +377,21 @@ const storage::FieldMap* SearchIndex::GetDocument(
   const core::ReaderLock lock(mu_);
   const auto it = docs_.find(doc_id);
   return it == docs_.end() ? nullptr : &it->second.fields;
+}
+
+std::size_t IndexJournal(const storage::EventJournal& journal,
+                         SearchIndex& index) {
+  std::size_t indexed = 0;
+  journal.ForEachEntity(
+      [&](std::string_view entity_id, const storage::FieldMap& fields) {
+        if (fields.empty()) {
+          index.Remove(entity_id);
+          return;
+        }
+        index.Index(entity_id, fields);
+        ++indexed;
+      });
+  return indexed;
 }
 
 }  // namespace censys::search

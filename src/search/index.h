@@ -31,6 +31,10 @@
 #include "search/query.h"
 #include "storage/delta.h"
 
+namespace censys::storage {
+class EventJournal;
+}  // namespace censys::storage
+
 namespace censys::search {
 
 // Concurrency: one reader/writer lock guards the documents, the
@@ -141,5 +145,13 @@ class SearchIndex {
   metrics::CounterHandle indexed_metric_;
   metrics::CounterHandle queries_metric_;
 };
+
+// Brings `index` in line with the journal's current entity states: indexes
+// every non-empty entity and removes the document of every emptied one (a
+// no-op when it holds none). The one rebuild walk, shared by the engine's
+// RebuildSearchIndex and a follower's bootstrap. Returns the number of
+// documents indexed.
+std::size_t IndexJournal(const storage::EventJournal& journal,
+                         SearchIndex& index);
 
 }  // namespace censys::search

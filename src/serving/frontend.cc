@@ -61,6 +61,13 @@ void ServingFrontend::ExecuteLadder(const Query& q, QueryOutcome& out,
                                     bool capture_view) {
   TRACE_SPAN("serving", QuerySpanName(q.kind));
   const WallTimer timer;  // censyslint:allow(wall-timer)
+  if (q.kind == Query::Kind::kAggregate && analytics_tier_ == nullptr) {
+    // No tier attached is a wiring error, not a transient read fault: no
+    // retry could answer it.
+    out.failed = true;
+    out.latency_us = timer.ElapsedMicros();
+    return;
+  }
   // Retry ladder: every query passes the "serving.read" injection
   // point. On a pure read path every fault mode is a transient error —
   // a reader has nothing to tear or corrupt durably — so each one
@@ -119,12 +126,6 @@ void ServingFrontend::ExecuteLadder(const Query& q, QueryOutcome& out,
         break;
       }
       case Query::Kind::kAggregate: {
-        if (analytics_tier_ == nullptr) {
-          // No tier attached: fall through the ladder like an exhausted
-          // read (degrades to failed below).
-          ++out.faults;
-          continue;
-        }
         const std::int64_t day = q.at.minutes / (24 * 60);
         const query::AnalyticsTier::Aggregate agg =
             q.suffix_aggregate ? analytics_tier_->GroupCountSuffix(day, q.text)

@@ -65,7 +65,8 @@ struct QueryOutcome {
   bool hit = false;
   bool shed = false;      // only set by Run()'s batch-deadline shedding
   bool degraded = false;  // answered from a stale cached view
-  bool failed = false;    // retries exhausted, no stale fallback
+  bool failed = false;    // retries exhausted, no stale fallback, or an
+                          // aggregate with no tier attached
   std::size_t results = 0;
   double latency_us = 0;
   std::uint32_t retries = 0;
@@ -169,7 +170,7 @@ class ServingFrontend {
 
   // Wires the columnar analytics tier behind kAggregate queries. The
   // tier must outlive the frontend; without one, aggregate queries fail
-  // through the ladder like any exhausted read. Call before serving
+  // at once, with no retry and no read fault counted. Call before serving
   // traffic (not thread-safe against in-flight queries).
   void AttachAnalyticsTier(const query::AnalyticsTier* tier) {
     analytics_tier_ = tier;

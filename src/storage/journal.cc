@@ -130,7 +130,7 @@ std::uint64_t EventJournal::Append(std::string_view entity_id, EventKind kind,
   const std::uint64_t seqno =
       ApplyEvent(entity_id, kind, at, delta, /*durable=*/true,
                  /*observe=*/true);
-  NotifyObserver();
+  NotifyObservers();
   return seqno;
 }
 
@@ -177,12 +177,12 @@ void EventJournal::AppendBatch(std::vector<PendingEvent> events) {
   }
   // Deliver while `events` is still alive: the staged AppliedEvents alias
   // its entity ids and deltas.
-  NotifyObserver();
+  NotifyObservers();
 }
 
-void EventJournal::NotifyObserver() {
+void EventJournal::NotifyObservers() {
   if (observed_.empty()) return;
-  if (observer_) observer_(observed_);
+  for (const CommitObserver& observer : observers_) observer(observed_);
   observed_.clear();
 }
 
@@ -245,10 +245,11 @@ std::uint64_t EventJournal::ApplyEvent(std::string_view entity_id,
   if (meta.events_since_snapshot >= options_.snapshot_every) {
     WriteSnapshot(shard, entity_id, meta, at);
   }
-  if (observe && observer_) {
+  if (observe && !observers_.empty()) {
     // `delta` and `entity_id` belong to the caller and outlive the
-    // enclosing Append/AppendBatch; `meta.current` is a node in the
-    // shard's meta map (stable across rehash, command-thread mutated).
+    // enclosing Append/AppendBatch/ApplyReplicated; `meta.current` is a
+    // node in the shard's meta map (stable across rehash, command-thread
+    // mutated).
     observed_.push_back(
         AppliedEvent{entity_id, seqno, kind, at, &delta, &meta.current});
   }
@@ -601,9 +602,13 @@ bool EventJournal::LoadReplicaSnapshot(std::string_view payload,
 }
 
 std::uint64_t EventJournal::ApplyReplicated(const WalRecord& record) {
-  return ApplyEvent(record.entity, static_cast<EventKind>(record.kind),
-                    record.at, record.delta, /*durable=*/false,
-                    /*observe=*/false);
+  observed_.clear();
+  const std::uint64_t seqno =
+      ApplyEvent(record.entity, static_cast<EventKind>(record.kind),
+                 record.at, record.delta, /*durable=*/false,
+                 /*observe=*/true);
+  NotifyObservers();
+  return seqno;
 }
 
 std::optional<std::uint64_t> EventJournal::Checkpoint(std::string* error) {

@@ -90,11 +90,12 @@ struct RecoveryReport {
   std::uint64_t recovered_events = 0;
 };
 
-// One event as applied by Append/AppendBatch, as seen by a commit
-// observer. Every pointer / view aliases storage owned by the caller or
-// the journal and is valid only for the duration of the observer call:
-// `post_state` points at the entity's live current-state map (stable
-// across rehash, but mutated by the next command-thread append).
+// One event as applied by Append/AppendBatch/ApplyReplicated, as seen by
+// a commit observer. Every pointer / view aliases storage owned by the
+// caller or the journal and is valid only for the duration of the
+// observer call: `post_state` points at the entity's live current-state
+// map (stable across rehash, but mutated by the next command-thread
+// append).
 struct AppliedEvent {
   std::string_view entity_id;
   std::uint64_t seqno = 0;
@@ -193,19 +194,27 @@ class EventJournal {
 
   // Applies one shipped WAL record without logging it locally (followers
   // keep no WAL of their own; durability lives on the leader). Equivalent
-  // to the Recover() replay path, one record at a time.
+  // to the Recover() replay path, one record at a time, except that the
+  // commit observers see it, as a one-event batch.
   std::uint64_t ApplyReplicated(const WalRecord& record);
 
-  // --- commit observation (src/query/ standing queries) -----------------------
-  // Called once per Append / AppendBatch, on the command thread, after
-  // every shard lock is released, with the events the call applied in
-  // seqno order. The vector and everything its elements point at are
-  // valid only during the call. NOT invoked for Recover() replay or
-  // ApplyReplicated() — observers see live commits, not catch-up; attach
-  // (and detach) only at a quiescent point (no concurrent Append).
+  // --- commit observation (derived views) -------------------------------------
+  // The journal's commit stream: the one way a view derived from the
+  // journal (pivot tables, standing queries, a follower's search index)
+  // learns about a commit. Observers are called in registration order,
+  // once per Append / AppendBatch and once per ApplyReplicated record (a
+  // one-event batch), on the command thread, after every shard lock is
+  // released, with the events the call applied in seqno order. The vector
+  // and everything its elements point at are valid only during the call.
+  // NOT invoked for Recover() replay or LoadReplicaSnapshot(): a view
+  // built from a loaded state walks it instead. An observer must not
+  // append to this journal.
   using CommitObserver = std::function<void(const std::vector<AppliedEvent>&)>;
+  // Registers one more observer (the name predates the list; it never
+  // replaces one). Register only at a quiescent point (no concurrent
+  // Append).
   void SetCommitObserver(CommitObserver observer) {
-    observer_ = std::move(observer);
+    observers_.push_back(std::move(observer));
   }
 
   const Options& options() const { return options_; }
@@ -318,15 +327,16 @@ class EventJournal {
   // The shared body of Append and WAL replay: applies and journals one
   // event. `durable` selects whether the record is WAL-logged first
   // (replay must not re-log what it reads from the log); `observe` stages
-  // the event for the commit observer (live appends only — replay and
-  // replication apply with observe=false).
+  // the event for the commit observers (live appends and replicated
+  // records; Recover() replay applies with observe=false).
   std::uint64_t ApplyEvent(std::string_view entity_id, EventKind kind,
                            Timestamp at, const Delta& delta, bool durable,
                            bool observe);
 
   // Delivers (and clears) the staged observed_ batch. Command thread
-  // only; called by Append/AppendBatch after their shard locks drop.
-  void NotifyObserver();
+  // only; called by Append/AppendBatch/ApplyReplicated after their shard
+  // locks drop.
+  void NotifyObservers();
 
   // Serializes / restores full journal state for checkpoints.
   std::string EncodeCheckpoint(std::uint64_t lsn) const;
@@ -339,8 +349,9 @@ class EventJournal {
   core::ThreadRole command_role_;
 
   // Commit observation: both are touched only on the command thread
-  // (Append/AppendBatch callers), so they need no lock of their own.
-  CommitObserver observer_;
+  // (Append/AppendBatch/ApplyReplicated callers), so they need no lock of
+  // their own.
+  std::vector<CommitObserver> observers_;
   std::vector<AppliedEvent> observed_;
 
   std::atomic<std::uint64_t> event_count_{0};

@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <unordered_set>
 
 #include "core/strings.h"
 #include "engines/evaluation.h"
 #include "engines/world.h"
+#include "pipeline/entity.h"
+#include "search/pivots.h"
 #include "web/attach.h"
 
 namespace censys::engines {
@@ -22,6 +27,43 @@ WorldConfig SmallWorld(std::uint64_t seed = 42) {
   cfg.universe.target_services = 9000;
   cfg.universe.ics_scale = 128;
   return cfg;
+}
+
+// The derived-view oracle for the secondary pivot tables: the engine's
+// pivots() must equal a PivotIndex rebuilt by walking the journal's
+// current host states, on every certificate and JARM the walk sees.
+void ExpectPivotsMatchJournal(const CensysEngine& engine) {
+  search::PivotIndex want;
+  std::set<std::string> certs;
+  std::set<std::string> jarms;
+  engine.journal().ForEachEntity(
+      [&](std::string_view id, const storage::FieldMap& fields) {
+        const std::optional<IPv4Address> ip = IPv4Address::Parse(id);
+        ASSERT_TRUE(ip.has_value()) << id;
+        for (const ServiceKey key : pipeline::ServicesIn(fields, *ip)) {
+          const auto record = pipeline::RecordFrom(fields, key);
+          ASSERT_TRUE(record.has_value()) << key.ToString();
+          want.Observe(key, record->cert_sha256, record->jarm);
+          if (!record->cert_sha256.empty()) certs.insert(record->cert_sha256);
+          if (!record->jarm.empty()) jarms.insert(record->jarm);
+        }
+      });
+  const search::PivotIndex& got = engine.pivots();
+  EXPECT_EQ(got.cert_count(), want.cert_count());
+  EXPECT_EQ(got.jarm_count(), want.jarm_count());
+  std::size_t differing = 0;
+  std::string first;
+  for (const std::string& cert : certs) {
+    if (got.EndpointsWithCert(cert) != want.EndpointsWithCert(cert)) {
+      if (differing++ == 0) first = "cert " + cert;
+    }
+  }
+  for (const std::string& jarm : jarms) {
+    if (got.EndpointsWithJarm(jarm) != want.EndpointsWithJarm(jarm)) {
+      if (differing++ == 0) first = "jarm " + jarm;
+    }
+  }
+  EXPECT_EQ(differing, 0u) << "first differing pivot: " << first;
 }
 
 class WorldTest : public ::testing::Test {
@@ -283,14 +325,9 @@ TEST_F(WorldTest, PivotTablesTrackTlsServices) {
   const auto& pivots = world_->censys().pivots();
   EXPECT_GT(pivots.cert_count(), 200u);
   EXPECT_GT(pivots.jarm_count(), 10u);
-  // Every cert pivot must point at currently-journaled services.
-  int checked = 0;
-  world_->censys().write_side().ForEachTracked(
-      [&](const pipeline::ServiceState& state) {
-        if (checked >= 2000) return;
-        ++checked;
-        (void)state;
-      });
+  // Every pivot points at a currently-journaled service, and every
+  // journaled TLS service is pivoted.
+  ExpectPivotsMatchJournal(world_->censys());
   // Rare JARM clusters exist (the 1/64 rare-stack population).
   EXPECT_FALSE(pivots.RareJarmClusters(2, 64).empty());
 }
@@ -365,6 +402,28 @@ TEST(SearchRebuildTest, RebuildDropsHostsEmptiedSinceLastRebuild) {
   ASSERT_GT(emptied, 0u);
   EXPECT_EQ(indexed, non_empty);
   EXPECT_EQ(world.censys().search_index().doc_count(), non_empty);
+}
+
+// The pivot oracle after every tick of a run whose ticks journal
+// evictions and pseudo-host suppressions, the two removal paths: the pivot
+// tables follow the journal's commit stream and nothing else.
+TEST(PivotOracleTest, PivotsMatchAJournalWalkAfterEveryTick) {
+  WorldConfig cfg = SmallWorld(23);
+  cfg.universe.target_services = 3000;
+  cfg.with_alternatives = false;
+  cfg.censys.threads = 2;
+  World world(cfg);
+  world.Bootstrap();
+  ExpectPivotsMatchJournal(world.censys());
+  const Timestamp end = world.now() + Duration::Days(4);
+  while (world.now() < end && !HasFailure()) {
+    world.RunUntil(world.now() + cfg.tick);
+    SCOPED_TRACE("at minute " + std::to_string(world.now().minutes));
+    ExpectPivotsMatchJournal(world.censys());
+  }
+  EXPECT_GT(world.censys().write_side().services_evicted(), 0u);
+  EXPECT_GT(world.censys().write_side().pseudo_suppressed(), 0u);
+  EXPECT_GT(world.censys().pivots().cert_count(), 0u);
 }
 
 // --------------------------------------------------- determinism (own worlds)

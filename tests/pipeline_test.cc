@@ -1,6 +1,6 @@
 // Tests for the CQRS pipeline: entity field projection, write side command
-// processing, eviction policy, pseudo filtering, event bus, and read-side
-// reconstruction + enrichment.
+// processing, eviction policy, pseudo filtering, the journal commit stream
+// the write side feeds, and read-side reconstruction + enrichment.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -58,6 +58,19 @@ TEST(EntityTest, ServicesInEnumeratesPrefixes) {
   EXPECT_EQ(keys[1].port, 8443);
 }
 
+TEST(EntityTest, ServiceKeyOfParsesOneFieldName) {
+  const IPv4Address ip(5);
+  const auto tcp = ServiceKeyOf("svc.443/tcp.tls.cert_sha256", ip);
+  ASSERT_TRUE(tcp.has_value());
+  EXPECT_EQ(*tcp, (ServiceKey{ip, 443, Transport::kTcp}));
+  EXPECT_EQ(ServiceKeyOf("svc.161/udp.protocol", ip),
+            (ServiceKey{ip, 161, Transport::kUdp}));
+  for (const char* field :
+       {"location.country", "svc.", "svc.443", "svc.x/tcp.a", "svc.443tcp.a"}) {
+    EXPECT_FALSE(ServiceKeyOf(field, ip).has_value()) << field;
+  }
+}
+
 TEST(EntityTest, RecordRoundTripsThroughEntityState) {
   const auto record = HttpRecord(IPv4Address(5), 8080, Timestamp{0});
   storage::FieldMap state;
@@ -89,10 +102,9 @@ TEST(EntityTest, RemoveDeltaErasesOnlyThatService) {
 
 class WriteSideTest : public ::testing::Test {
  protected:
-  WriteSideTest() : write_(journal_, bus_) {}
+  WriteSideTest() : write_(journal_) {}
 
   storage::EventJournal journal_;
-  EventBus bus_;
   WriteSide write_;
 };
 
@@ -202,22 +214,34 @@ TEST_F(WriteSideTest, PseudoHostSuppressionPublishesEachRemoval) {
   const IPv4Address middlebox(99);
   std::vector<ServiceKey> removed;
   std::size_t found = 0;
-  bus_.Subscribe([&](const PipelineEvent& ev) {
-    if (ev.kind == storage::EventKind::kServiceRemoved) {
-      removed.push_back(ev.key);
-    } else if (ev.kind == storage::EventKind::kServiceFound) {
-      ++found;
-    }
-  });
+  journal_.SetCommitObserver(
+      [&](const std::vector<storage::AppliedEvent>& batch) {
+        for (const storage::AppliedEvent& ev : batch) {
+          if (ev.kind == storage::EventKind::kServiceFound) ++found;
+          if (ev.kind != storage::EventKind::kServiceRemoved) continue;
+          // One removal names one service, and the post-state no longer
+          // holds it.
+          std::set<std::uint64_t> keys;
+          for (const storage::FieldOp& op : ev.delta->ops) {
+            EXPECT_EQ(op.kind, storage::FieldOp::Kind::kRemove);
+            const auto key = ServiceKeyOf(op.key, middlebox);
+            ASSERT_TRUE(key.has_value()) << op.key;
+            keys.insert(key->Pack());
+          }
+          ASSERT_EQ(keys.size(), 1u);
+          const ServiceKey key = ServiceKey::Unpack(*keys.begin());
+          EXPECT_FALSE(RecordFrom(*ev.post_state, key).has_value());
+          removed.push_back(key);
+        }
+      });
   for (Port port = 1000; port < 1030; ++port) {
     auto record = HttpRecord(middlebox, port, Timestamp{0}, "Canned");
     record.banner = "Server: middlebox";
     write_.IngestScan(record);
   }
   ASSERT_TRUE(write_.IsPseudoFlagged(middlebox));
-  bus_.Drain();
 
-  // Subscribers (the engine's pivot tables) hear of every service the
+  // Observers (the engine's pivot tables) hear of every service the
   // journal removed, one event each, as they do for evictions.
   std::size_t journaled = 0;
   for (const auto& event : journal_.History("0.0.0.99")) {
@@ -245,22 +269,12 @@ TEST_F(WriteSideTest, DiverseServicesOnOneHostAreNotPseudo) {
   EXPECT_EQ(write_.tracked_count(), 30u);
 }
 
-TEST_F(WriteSideTest, EventBusDeliversAsync) {
-  std::vector<storage::EventKind> seen;
-  bus_.Subscribe([&](const PipelineEvent& ev) { seen.push_back(ev.kind); });
-  write_.IngestScan(HttpRecord(IPv4Address(7), 80, Timestamp{0}));
-  EXPECT_TRUE(seen.empty());  // nothing delivered until drained
-  EXPECT_EQ(bus_.Drain(), 1u);
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0], storage::EventKind::kServiceFound);
-}
-
 // ------------------------------------------------------------------ read side
 
 class ReadSideTest : public ::testing::Test {
  protected:
   ReadSideTest()
-      : plan_(PlanConfig()), write_(journal_, bus_),
+      : plan_(PlanConfig()), write_(journal_),
         fingerprints_(fingerprint::FingerprintEngine::BuiltIn(0)),
         cves_(fingerprint::CveDatabase::BuiltIn()),
         enricher_(plan_, &fingerprints_, &cves_),
@@ -274,7 +288,6 @@ class ReadSideTest : public ::testing::Test {
   }
 
   storage::EventJournal journal_;
-  EventBus bus_;
   simnet::BlockPlan plan_;
   WriteSide write_;
   fingerprint::FingerprintEngine fingerprints_;

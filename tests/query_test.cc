@@ -898,6 +898,73 @@ TEST_F(SegmentCorruptionTest, CrashAtWriteLeavesNoVisibleSegment) {
   EXPECT_TRUE(tier.CachedDays().empty());
 }
 
+TEST(CommitObserverTest, ObserversRunInRegistrationOrder) {
+  storage::EventJournal journal;
+  std::vector<std::pair<int, std::size_t>> calls;  // observer, batch size
+  for (const int observer : {1, 2}) {
+    journal.SetCommitObserver(
+        [&calls, observer](const std::vector<storage::AppliedEvent>& batch) {
+          calls.emplace_back(observer, batch.size());
+        });
+  }
+
+  journal.Append("e1", storage::EventKind::kEntityUpdated, Timestamp{1},
+                 storage::ComputeDelta({}, {{"k", "v"}}));
+  std::vector<storage::EventJournal::PendingEvent> batch(2);
+  batch[0].entity_id = "e2";
+  batch[0].delta = storage::ComputeDelta({}, {{"k", "a"}});
+  batch[1].entity_id = "e3";
+  batch[1].delta = storage::ComputeDelta({}, {{"k", "b"}});
+  journal.AppendBatch(std::move(batch));
+
+  const std::vector<std::pair<int, std::size_t>> want = {
+      {1, 1u}, {2, 1u}, {1, 2u}, {2, 2u}};
+  EXPECT_EQ(calls, want);
+}
+
+TEST(CommitObserverTest, ApplyReplicatedDeliversAOneEventBatch) {
+  storage::EventJournal journal;
+  struct Seen {
+    std::string entity;
+    std::uint64_t seqno;
+    storage::EventKind kind;
+    storage::FieldMap post;
+    std::size_t batch_size;
+  };
+  std::vector<Seen> seen;
+  journal.SetCommitObserver(
+      [&](const std::vector<storage::AppliedEvent>& batch) {
+        for (const storage::AppliedEvent& ev : batch) {
+          ASSERT_NE(ev.post_state, nullptr);
+          seen.push_back({std::string(ev.entity_id), ev.seqno, ev.kind,
+                          *ev.post_state, batch.size()});
+        }
+      });
+
+  storage::WalRecord record;
+  record.lsn = 1;
+  record.entity = "e1";
+  record.kind = static_cast<std::uint8_t>(storage::EventKind::kServiceFound);
+  record.at = Timestamp{3};
+  record.delta = storage::ComputeDelta({}, {{"a", "1"}, {"b", "2"}});
+  const std::uint64_t s1 = journal.ApplyReplicated(record);
+  record.lsn = 2;
+  record.kind = static_cast<std::uint8_t>(storage::EventKind::kServiceRemoved);
+  record.delta = storage::ComputeDelta({{"a", "1"}, {"b", "2"}}, {{"b", "2"}});
+  const std::uint64_t s2 = journal.ApplyReplicated(record);
+
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].entity, "e1");
+  EXPECT_EQ(seen[0].seqno, s1);
+  EXPECT_EQ(seen[0].kind, storage::EventKind::kServiceFound);
+  EXPECT_EQ(seen[0].post, (storage::FieldMap{{"a", "1"}, {"b", "2"}}));
+  EXPECT_EQ(seen[0].batch_size, 1u);
+  EXPECT_EQ(seen[1].seqno, s2);
+  EXPECT_EQ(seen[1].kind, storage::EventKind::kServiceRemoved);
+  EXPECT_EQ(seen[1].post, (storage::FieldMap{{"b", "2"}}));
+  EXPECT_EQ(seen[1].batch_size, 1u);
+}
+
 // ------------------------------------------------------ serving integration
 
 interrogate::ServiceRecord ProductRecord(IPv4Address ip, Port port,
@@ -915,7 +982,7 @@ interrogate::ServiceRecord ProductRecord(IPv4Address ip, Port port,
 class AggregateServingTest : public ::testing::Test {
  protected:
   AggregateServingTest()
-      : plan_(PlanConfig()), write_(journal_, bus_),
+      : plan_(PlanConfig()), write_(journal_),
         enricher_(plan_, nullptr, nullptr),
         read_(journal_, write_, &enricher_) {
     for (std::uint32_t h = 0; h < 8; ++h) {
@@ -932,7 +999,6 @@ class AggregateServingTest : public ::testing::Test {
   }
 
   storage::EventJournal journal_;
-  pipeline::EventBus bus_;
   simnet::BlockPlan plan_;
   pipeline::WriteSide write_;
   engines::ContextEnricher enricher_;
@@ -1007,6 +1073,10 @@ TEST_F(AggregateServingTest, MissingTierFailsTheQuery) {
   const auto out = frontend.ServeOne(q);
   EXPECT_TRUE(out.failed);
   EXPECT_FALSE(out.hit);
+  // A missing tier is a wiring error, not a read fault: no retry ladder,
+  // no fault counted.
+  EXPECT_EQ(out.retries, 0u);
+  EXPECT_EQ(out.faults, 0u);
 }
 
 }  // namespace

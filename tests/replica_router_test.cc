@@ -65,7 +65,7 @@ class RouterRig {
   RouterRig(const std::string& dir, std::size_t replicas,
             ReplicaRouter::Options router_options,
             replicate::ReplicationGroup::Options group_options = {})
-      : journal_(DurableOptions(dir)), write_(journal_, bus_),
+      : journal_(DurableOptions(dir)), write_(journal_),
         group_(journal_, group_options) {
     for (std::size_t i = 0; i < replicas; ++i) {
       group_.AddFollower("f" + std::to_string(i));
@@ -96,7 +96,6 @@ class RouterRig {
 
  private:
   storage::EventJournal journal_;
-  pipeline::EventBus bus_;
   pipeline::WriteSide write_;
   replicate::ReplicationGroup group_;
   std::vector<std::unique_ptr<ServingFrontend>> frontends_;

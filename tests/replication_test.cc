@@ -21,6 +21,7 @@
 #include "pipeline/write_side.h"
 #include "replicate/follower.h"
 #include "replicate/group.h"
+#include "search/index.h"
 #include "serving/frontend.h"
 #include "serving/replica_router.h"
 #include "serving/router_policy.h"
@@ -94,6 +95,28 @@ std::vector<storage::WalRecord> TailOf(storage::EventJournal& journal,
   }
   EXPECT_EQ(shipment.last_lsn, records.empty() ? from : records.back().lsn);
   return records;
+}
+
+// The follower search-index oracle: the index a follower keeps from its
+// commit stream equals a fresh index over its own journal — same documents,
+// same terms, same answers on a fixed query set over ApplyOp's fields.
+void ExpectIndexMatchesJournal(const Follower& follower) {
+  search::SearchIndex fresh;
+  follower.journal().ForEachEntity(
+      [&](std::string_view id, const storage::FieldMap& fields) {
+        if (!fields.empty()) fresh.Index(id, fields);
+      });
+  EXPECT_EQ(follower.index().doc_count(), fresh.doc_count());
+  EXPECT_EQ(follower.index().term_count(), fresh.term_count());
+  for (const char* query :
+       {"v15*", "v3*", "f0: v19* OR f0: v15*", "f1: v1* AND NOT f2: v18*",
+        "f2: v199", "f0: v3", "NOT f1: v10"}) {
+    std::string error;
+    const auto got = follower.index().Search(query, &error);
+    EXPECT_TRUE(error.empty()) << query << ": " << error;
+    EXPECT_EQ(got, fresh.Search(query, &error)) << follower.name() << ": "
+                                                << query;
+  }
 }
 
 // ------------------------------------------------------------- WAL tailing
@@ -191,6 +214,36 @@ TEST(FollowerTest, BootstrapsAndTailsToLeaderDigest) {
   EXPECT_EQ(f.LagBehind(group.leader_lsn()), 0u);
   EXPECT_EQ(f.Digest(), JournalDigest(leader));
   EXPECT_GT(f.applied_records(), 0u);
+}
+
+// Each applied record re-indexes its entity from the post-state, and an
+// entity the leader emptied leaves the follower's index.
+TEST(FollowerTest, IndexFollowsAppliedRecordsAndDropsEmptiedEntities) {
+  const std::string dir = ScratchDir("follower_index");
+  storage::EventJournal leader(DurableOptions(dir));
+  ReplicationGroup group(leader);
+  const Follower& f = group.AddFollower("f0");
+  std::string error;
+  for (int i = 0; i < 20; ++i) ApplyOp(leader, i);
+  ASSERT_TRUE(group.BootstrapFollower(0, &error)) << error;
+  ExpectIndexMatchesJournal(f);
+  EXPECT_EQ(f.index().doc_count(), std::size_t{kEntities});
+
+  for (int i = 20; i < 40; ++i) ApplyOp(leader, i);
+  storage::Delta clear;
+  for (const char* field : {"f0", "f1", "f2"}) {
+    clear.ops.push_back({storage::FieldOp::Kind::kRemove, field, {}});
+  }
+  leader.Append("host/2", storage::EventKind::kServiceRemoved, Timestamp{50},
+                clear);
+  ASSERT_TRUE(group.CatchUp(0, 100, &error)) << error;
+
+  EXPECT_EQ(f.Digest(), JournalDigest(leader));
+  EXPECT_EQ(f.index().doc_count(), std::size_t{kEntities - 1});
+  EXPECT_EQ(f.index().GetDocument("host/2"), nullptr);
+  ASSERT_NE(f.index().GetDocument("host/3"), nullptr);
+  EXPECT_EQ(f.index().GetDocument("host/3")->at("f2"), "v38");
+  ExpectIndexMatchesJournal(f);
 }
 
 TEST(FollowerTest, NacksGapsSkipsDuplicatesAppliesInOrder) {
@@ -459,8 +512,10 @@ TEST(ReplicationChaosTest, DigestsConvergeUnderLinkFaults) {
     }
     const std::uint64_t want = JournalDigest(leader);
     for (std::size_t i = 0; i < group.size(); ++i) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
       EXPECT_EQ(group.follower(i).applied_lsn(), group.leader_lsn());
-      EXPECT_EQ(group.follower(i).Digest(), want) << "seed " << seed;
+      EXPECT_EQ(group.follower(i).Digest(), want);
+      ExpectIndexMatchesJournal(group.follower(i));
     }
   }
 }
@@ -503,9 +558,14 @@ TEST(ReplicationChaosTest, CrashMidApplyRebootstrapsToIdenticalDigest) {
     EXPECT_FALSE(f.serving());
 
     ASSERT_TRUE(group.BootstrapFollower(0, &error)) << error;
+    // The revived follower tails fresh commits through its index observer,
+    // not only the snapshot walk.
+    for (int i = 120; i < 160; ++i) ApplyOp(leader, i);
     ASSERT_TRUE(group.CatchUp(0, 2000, &error)) << error;
+    SCOPED_TRACE("seed " + std::to_string(seed));
     EXPECT_EQ(f.applied_lsn(), group.leader_lsn());
-    EXPECT_EQ(f.Digest(), JournalDigest(leader)) << "seed " << seed;
+    EXPECT_EQ(f.Digest(), JournalDigest(leader));
+    ExpectIndexMatchesJournal(f);
   }
 #endif
 }

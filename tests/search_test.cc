@@ -224,27 +224,31 @@ TEST(AnalyticsTest, GetLatestUpTo) {
   AnalyticsStore store;
   store.AddSnapshot(Snap(5, 1));
   store.AddSnapshot(Snap(9, 2));
-  const core::ThreadRoleGuard role(store.command_role());
-  EXPECT_EQ(store.GetLatestUpTo(4), nullptr);
-  EXPECT_EQ(store.GetLatestUpTo(5)->day, 5);
-  EXPECT_EQ(store.GetLatestUpTo(7)->day, 5);
-  EXPECT_EQ(store.GetLatestUpTo(100)->day, 9);
+  EXPECT_FALSE(store.GetLatestUpToCopy(4).has_value());
+  EXPECT_EQ(store.GetLatestUpToCopy(5)->day, 5);
+  EXPECT_EQ(store.GetLatestUpToCopy(7)->day, 5);
+  EXPECT_EQ(store.GetLatestUpToCopy(100)->day, 9);
 }
 
 TEST(AnalyticsTest, RetentionThinsOldSnapshotsToWeekly) {
-  AnalyticsStore::Options options;
-  options.full_retention = Duration::Days(90);
-  options.keep_weekday = 2;
-  AnalyticsStore store(options);
+  AnalyticsStore store;
   for (std::int64_t day = 0; day < 200; ++day) store.AddSnapshot(Snap(day, 1));
 
   store.ThinOut(Timestamp::FromDays(200));
-  const core::ThreadRoleGuard role(store.command_role());
-  // Recent 90 days fully retained; older days only weekday 2.
-  EXPECT_EQ(store.GetDay(150)->day, 150);  // within window
+  // The series lists exactly the retained days: the recent 90 days in
+  // full, older days only on weekday 2.
+  std::set<std::int64_t> kept;
+  for (const auto& [day, count] : store.ProtocolSeries("HTTP")) {
+    kept.insert(day);
+  }
+  EXPECT_EQ(kept.size(), store.size());
+  for (std::int64_t day = 110; day < 200; ++day) {
+    EXPECT_TRUE(kept.contains(day)) << day;
+  }
+  EXPECT_EQ(store.GetLatestUpToCopy(150)->day, 150);  // within window
   int old_kept = 0;
   for (std::int64_t day = 0; day < 110; ++day) {
-    if (store.GetDay(day) != nullptr) {
+    if (kept.contains(day)) {
       EXPECT_EQ(day % 7, 2) << day;
       ++old_kept;
     }

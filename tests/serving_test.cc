@@ -163,7 +163,7 @@ void ExpectViewsEqual(const std::optional<pipeline::HostView>& a,
 class CachedReadTest : public ::testing::Test {
  protected:
   CachedReadTest()
-      : plan_(PlanConfig()), write_(journal_, bus_),
+      : plan_(PlanConfig()), write_(journal_),
         fingerprints_(fingerprint::FingerprintEngine::BuiltIn(0)),
         cves_(fingerprint::CveDatabase::BuiltIn()),
         enricher_(plan_, &fingerprints_, &cves_),
@@ -180,7 +180,6 @@ class CachedReadTest : public ::testing::Test {
   }
 
   storage::EventJournal journal_;
-  pipeline::EventBus bus_;
   simnet::BlockPlan plan_;
   pipeline::WriteSide write_;
   fingerprint::FingerprintEngine fingerprints_;
@@ -252,12 +251,11 @@ TEST_F(CachedReadTest, EveryScanStateChangeInvalidatesPrecisely) {
 // watermarks must be monotonic per host.
 TEST(ServingStressTest, ConcurrentReadersNeverObserveTornViews) {
   storage::EventJournal journal;
-  pipeline::EventBus bus;
   simnet::UniverseConfig plan_cfg;
   plan_cfg.seed = 2;
   plan_cfg.universe_size = 1u << 16;
   simnet::BlockPlan plan(plan_cfg);
-  pipeline::WriteSide write(journal, bus);
+  pipeline::WriteSide write(journal);
   const engines::ContextEnricher enricher(plan, nullptr, nullptr);
   pipeline::ReadSide read(journal, write, &enricher);
   read.EnableCache();
@@ -342,7 +340,7 @@ TEST(ServingStressTest, ConcurrentReadersNeverObserveTornViews) {
 class FrontendTest : public ::testing::Test {
  protected:
   FrontendTest()
-      : plan_(PlanConfig()), write_(journal_, bus_),
+      : plan_(PlanConfig()), write_(journal_),
         enricher_(plan_, nullptr, nullptr),
         read_(journal_, write_, &enricher_) {
     read_.EnableCache();
@@ -373,7 +371,6 @@ class FrontendTest : public ::testing::Test {
   static constexpr std::uint32_t kHosts = 8;
 
   storage::EventJournal journal_;
-  pipeline::EventBus bus_;
   simnet::BlockPlan plan_;
   pipeline::WriteSide write_;
   engines::ContextEnricher enricher_;
