@@ -4,15 +4,24 @@
 // before timing anything — so the printed speedup is pure representation:
 // dictionary+RLE column runs against a full walk of every entity's field
 // map. The bench exits non-zero below a >=10x suffix-sweep speedup.
+//
+// It also times the daily segment build (BuildDay into a scratch segment
+// directory) as the median of kBuilds builds, split by layer from the
+// tier's censys.query.build_*_us histograms: the chunked entity visit that
+// builds partial columns, the merge, the CSG1 encode and the file write.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/clock.h"
+#include "core/metrics.h"
 #include "query/columnar.h"
+#include "test_tmpdir.h"
 
 using namespace censys;
 using namespace censys::bench;
@@ -45,6 +54,13 @@ Measured MeasureScans(const std::function<query::AnalyticsTier::Aggregate()>&
   return m;
 }
 
+constexpr int kBuilds = 5;
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 void RequireEqualGroups(const query::AnalyticsTier::Aggregate& a,
                         const query::AnalyticsTier::Aggregate& b,
                         const char* what) {
@@ -68,15 +84,40 @@ int main() {
   const auto world = MakeWorld("analytics_scan", opts);
   const storage::EventJournal& journal = world->censys().journal();
 
-  query::AnalyticsTier tier(journal, {});
+  metrics::Registry registry;
+  query::AnalyticsTier tier(journal,
+                            {.dir = test::ScratchDir("analytics_scan")});
+  tier.BindMetrics(&registry);
   const std::int64_t day = world->now().minutes / (24 * 60);
-  const WallTimer build_timer;
-  std::string error;
-  if (!tier.BuildDay(day, &error)) {
-    std::fprintf(stderr, "analytics_scan: BuildDay: %s\n", error.c_str());
-    return 1;
+  struct Layer {
+    const char* label;
+    const char* histogram;
+  };
+  const Layer kLayers[] = {
+      {"visit + partial build", "censys.query.build_visit_us"},
+      {"merge", "censys.query.build_merge_us"},
+      {"encode", "censys.query.build_encode_us"},
+      {"write", "censys.query.build_write_us"}};
+  std::vector<double> build_ms;
+  std::vector<std::vector<double>> layer_ms(std::size(kLayers));
+  for (int b = 0; b < kBuilds; ++b) {
+    std::vector<double> before;
+    for (const Layer& layer : kLayers) {
+      before.push_back(registry.GetHistogram(layer.histogram).sum());
+    }
+    const WallTimer build_timer;
+    std::string error;
+    if (!tier.BuildDay(day, &error)) {
+      std::fprintf(stderr, "analytics_scan: BuildDay: %s\n", error.c_str());
+      return 1;
+    }
+    build_ms.push_back(build_timer.ElapsedMicros() / 1000.0);
+    for (std::size_t l = 0; l < std::size(kLayers); ++l) {
+      layer_ms[l].push_back(
+          (registry.GetHistogram(kLayers[l].histogram).sum() - before[l]) /
+          1000.0);
+    }
   }
-  const double build_ms = build_timer.ElapsedMicros() / 1000.0;
 
   const std::string suffix = ".service.name";
   const std::string field = "svc.443/tcp.service.name";
@@ -109,7 +150,13 @@ int main() {
               static_cast<unsigned long long>(seg_suffix.rows),
               static_cast<long long>(day), seg_suffix.groups.size(),
               suffix.c_str());
-  std::printf("segment build:          %.2f ms\n\n", build_ms);
+  std::printf("segment build:          %.2f ms (median of %d)\n",
+              Median(build_ms), kBuilds);
+  for (std::size_t l = 0; l < std::size(kLayers); ++l) {
+    std::printf("  %-22s %.2f ms\n", kLayers[l].label,
+                Median(layer_ms[l]));
+  }
+  std::printf("\n");
   std::printf("%-28s %14s %14s\n", "sweep", "rows/s", "ms/scan");
   std::printf("%-28s %14.3g %14.3f\n", "walk  suffix .service.name",
               walk_sfx.rows_per_s, walk_sfx.ms_per_scan);

@@ -1,6 +1,10 @@
 #include "query/columnar.h"
 
 #include <algorithm>
+#include <memory>
+#include <memory_resource>
+#include <span>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -14,14 +18,72 @@ namespace {
 
 constexpr std::string_view kMagic = "CSG1";
 
-// Streams one column's (row, value) pairs — rows arriving in ascending
-// order — into dictionary ids and maximal runs, padding uncovered rows
-// with the absent id 0.
+// Dictionaries up to this size are searched by a scan (most columns hold a
+// handful of values); past it a hash index takes over.
+constexpr std::size_t kScanLimit = 8;
+
+// Chunks per build thread: enough that a chunk of heavy hosts does not
+// leave the other threads idle at the end of the visit.
+constexpr std::size_t kChunksPerThread = 4;
+
+// First block of a chunk's arena; later blocks grow geometrically.
+constexpr std::size_t kArenaBlock = 1 << 16;
+
+using Allocator = std::pmr::polymorphic_allocator<>;
+
+// A first-appearance dictionary: id i (1-based) names values[i - 1]. It
+// holds views: the caller keeps the bytes alive for the dictionary's life.
+struct Dictionary {
+  using allocator_type = Allocator;
+  explicit Dictionary(const allocator_type& alloc = {})
+      : values(alloc), index(alloc) {}
+
+  std::pmr::vector<std::string_view> values;
+  // Built once the dictionary outgrows kScanLimit.
+  std::pmr::unordered_map<std::string_view, std::uint32_t> index;
+
+  // `value`'s id, or 0 when it is not in the dictionary.
+  std::uint32_t Find(std::string_view value) const {
+    if (values.size() <= kScanLimit) {
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        if (values[i] == value) return static_cast<std::uint32_t>(i) + 1;
+      }
+      return 0;
+    }
+    const auto it = index.find(value);
+    return it == index.end() ? 0 : it->second;
+  }
+
+  std::uint32_t Add(std::string_view value) {
+    values.push_back(value);
+    const auto id = static_cast<std::uint32_t>(values.size());
+    if (values.size() > kScanLimit) {
+      if (index.empty()) {
+        for (std::uint32_t i = 1; i < id; ++i) index.emplace(values[i - 1], i);
+      }
+      index.emplace(value, id);
+    }
+    return id;
+  }
+};
+
+// Streams one column's (row, id) pairs — rows arriving in ascending order
+// — into maximal runs, padding uncovered rows with the absent id 0.
 struct ColumnBuilder {
-  std::vector<std::string> dict;
-  std::unordered_map<std::string, std::uint32_t> ids;  // value -> 1-based id
-  std::vector<ColumnSegment::Run> runs;
+  using allocator_type = Allocator;
+  explicit ColumnBuilder(const allocator_type& alloc = {})
+      : dict(alloc), runs(alloc) {}
+
+  Dictionary dict;
+  std::pmr::vector<ColumnSegment::Run> runs;
   std::uint32_t filled = 0;
+
+  void Clear() {
+    dict.values.clear();
+    if (!dict.index.empty()) dict.index.clear();
+    runs.clear();
+    filled = 0;
+  }
 
   void Extend(std::uint32_t id, std::uint32_t length) {
     if (length == 0) return;
@@ -32,15 +94,177 @@ struct ColumnBuilder {
     }
     filled += length;
   }
+};
 
-  void Append(std::uint32_t row, const std::string& value) {
-    if (row > filled) Extend(0, row - filled);
-    auto [it, inserted] =
-        ids.emplace(value, static_cast<std::uint32_t>(dict.size()) + 1);
-    if (inserted) dict.push_back(value);
-    Extend(it->second, 1);
+// The partial columns of one contiguous range of sorted entity ids, with
+// rows numbered from 0 at the range's first non-empty entity. Everything
+// but the row ids lives in the chunk's arena — field names and values
+// included — and is freed with it in one piece.
+struct Chunk {
+  std::pmr::monotonic_buffer_resource arena{kArenaBlock};
+  std::vector<std::string> row_ids;
+  std::pmr::unordered_map<std::string_view, ColumnBuilder> builders{&arena};
+  // builders' entries sorted by field name.
+  std::vector<std::pair<std::string_view, ColumnBuilder*>> by_field;
+
+  // A copy of `bytes` that lives as long as the chunk.
+  std::string_view Keep(std::string_view bytes) {
+    char* copy = static_cast<char*>(arena.allocate(bytes.size(), 1));
+    std::copy(bytes.begin(), bytes.end(), copy);
+    return {copy, bytes.size()};
+  }
+
+  void Append(std::uint32_t row, const std::string& field,
+              const std::string& value) {
+    auto it = builders.find(field);
+    if (it == builders.end()) it = builders.try_emplace(Keep(field)).first;
+    ColumnBuilder& builder = it->second;
+    if (row > builder.filled) builder.Extend(0, row - builder.filled);
+    std::uint32_t id = builder.dict.Find(value);
+    if (id == 0) id = builder.dict.Add(Keep(value));
+    builder.Extend(id, 1);
   }
 };
+
+// Visits the sorted entity ids in `chunk_count` contiguous ranges on
+// `executor`, each state read in place under its shard lock, and builds
+// every range's partial columns.
+std::vector<std::unique_ptr<Chunk>> VisitChunks(
+    const storage::EventJournal& journal, Executor& executor,
+    std::size_t chunk_count) {
+  const std::vector<std::string> ids = journal.EntityIds();
+  std::vector<std::unique_ptr<Chunk>> chunks(
+      std::max<std::size_t>(chunk_count, 1));
+  executor.ParallelFor(chunks.size(), [&](std::size_t c) {
+    chunks[c] = std::make_unique<Chunk>();
+    Chunk& chunk = *chunks[c];
+    const std::size_t begin = c * ids.size() / chunks.size();
+    const std::size_t end = (c + 1) * ids.size() / chunks.size();
+    journal.ForEachEntityIn(
+        std::span(ids).subspan(begin, end - begin),
+        [&](std::string_view entity, const storage::FieldMap& fields) {
+          if (fields.empty()) return;  // the universe is non-empty entities
+          const auto row = static_cast<std::uint32_t>(chunk.row_ids.size());
+          chunk.row_ids.emplace_back(entity);
+          for (const auto& [field, value] : fields) {
+            chunk.Append(row, field, value);
+          }
+        });
+    chunk.by_field.reserve(chunk.builders.size());
+    // censyslint:allow(unordered-iter): by_field is sorted below
+    for (auto& [field, builder] : chunk.builders) {
+      chunk.by_field.emplace_back(field, &builder);
+    }
+    std::sort(chunk.by_field.begin(), chunk.by_field.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+  });
+  return chunks;
+}
+
+// Merges the chunks' partial columns into one segment, one range of field
+// names per task. Each column's dictionary takes the chunks' values in
+// chunk order, so ids are numbered by first appearance over all rows and
+// adjacent equal runs fuse across chunk seams: the result equals a single
+// pass over every row, whatever the chunk count. Frees the chunks.
+ColumnSegment MergeChunks(std::vector<std::unique_ptr<Chunk>> chunks,
+                          std::int64_t day, Executor& executor) {
+  ColumnSegment segment;
+  segment.day = day;
+  std::vector<std::uint32_t> offsets;  // each chunk's first global row
+  offsets.reserve(chunks.size());
+  std::size_t rows = 0;
+  for (const auto& chunk : chunks) {
+    offsets.push_back(static_cast<std::uint32_t>(rows));
+    rows += chunk->row_ids.size();
+  }
+  segment.row_ids.reserve(rows);
+  for (const auto& chunk : chunks) {
+    for (std::string& id : chunk->row_ids) {
+      segment.row_ids.push_back(std::move(id));
+    }
+  }
+
+  // Field-name range bounds, spaced evenly over the chunk with the most
+  // columns; range r covers [bounds[r], bounds[r + 1]), the last one
+  // unbounded above.
+  const auto widest = std::max_element(
+      chunks.begin(), chunks.end(), [](const auto& a, const auto& b) {
+        return a->by_field.size() < b->by_field.size();
+      });
+  const auto& spread = (*widest)->by_field;
+  std::vector<std::string_view> bounds = {std::string_view()};
+  for (std::size_t r = 1; r < chunks.size() && !spread.empty(); ++r) {
+    const std::string_view bound =
+        spread[r * spread.size() / chunks.size()].first;
+    if (bounds.back() < bound) bounds.push_back(bound);
+  }
+
+  std::vector<std::vector<ColumnSegment::Column>> ranges(bounds.size());
+  executor.ParallelFor(ranges.size(), [&](std::size_t r) {
+    struct Part {
+      std::string_view field;
+      std::size_t chunk;
+      const ColumnBuilder* builder;
+    };
+    std::vector<Part> parts;
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+      const auto& by_field = chunks[c]->by_field;
+      auto below = [](const auto& entry, std::string_view f) {
+        return entry.first < f;
+      };
+      const auto lo = std::lower_bound(by_field.begin(), by_field.end(),
+                                       bounds[r], below);
+      const auto hi = r + 1 == bounds.size()
+                          ? by_field.end()
+                          : std::lower_bound(lo, by_field.end(),
+                                             bounds[r + 1], below);
+      for (auto it = lo; it != hi; ++it) {
+        parts.push_back({it->first, c, it->second});
+      }
+    }
+    // Stable: a field's parts stay in chunk order.
+    std::stable_sort(
+        parts.begin(), parts.end(),
+        [](const Part& a, const Part& b) { return a.field < b.field; });
+
+    std::vector<std::uint32_t> remap;  // chunk dictionary id -> merged id
+    ColumnBuilder merged;  // its views point into the chunks' arenas
+    for (std::size_t p = 0; p < parts.size();) {
+      merged.Clear();
+      const std::string_view field = parts[p].field;
+      for (; p < parts.size() && parts[p].field == field; ++p) {
+        const ColumnBuilder& part = *parts[p].builder;
+        remap.assign(1, 0);
+        for (const std::string_view value : part.dict.values) {
+          std::uint32_t id = merged.dict.Find(value);
+          if (id == 0) id = merged.dict.Add(value);
+          remap.push_back(id);
+        }
+        merged.Extend(0, offsets[parts[p].chunk] - merged.filled);
+        for (const ColumnSegment::Run& run : part.runs) {
+          merged.Extend(remap[run.value], run.length);
+        }
+      }
+      merged.Extend(0, static_cast<std::uint32_t>(rows) - merged.filled);
+      ColumnSegment::Column& column = ranges[r].emplace_back();
+      column.field = std::string(field);
+      column.dict.assign(merged.dict.values.begin(), merged.dict.values.end());
+      column.runs.assign(merged.runs.begin(), merged.runs.end());
+    }
+  });
+
+  std::size_t column_count = 0;
+  for (const auto& range : ranges) column_count += range.size();
+  segment.columns.reserve(column_count);
+  for (auto& range : ranges) {
+    for (ColumnSegment::Column& column : range) {
+      segment.columns.push_back(std::move(column));
+    }
+  }
+  executor.ParallelFor(chunks.size(),
+                       [&](std::size_t c) { chunks[c].reset(); });
+  return segment;
+}
 
 void AccumulateColumn(const ColumnSegment::Column& column,
                       std::map<std::string, std::uint64_t>& groups) {
@@ -143,54 +367,55 @@ std::optional<ColumnSegment> ColumnSegment::Decode(std::string_view payload) {
 }
 
 ColumnSegment BuildSegment(const storage::EventJournal& journal,
-                           std::int64_t day) {
-  // Snapshot the universe (non-empty entities, like the search index),
-  // then sort rows so equal states encode byte-identically regardless of
-  // journal shard iteration order.
-  std::vector<std::pair<std::string, storage::FieldMap>> rows;
-  journal.ForEachEntity(
-      [&](std::string_view entity, const storage::FieldMap& fields) {
-        if (fields.empty()) return;
-        rows.emplace_back(std::string(entity), fields);
-      });
-  std::sort(rows.begin(), rows.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  ColumnSegment segment;
-  segment.day = day;
-  segment.row_ids.reserve(rows.size());
-  std::map<std::string, ColumnBuilder> builders;
-  for (std::uint32_t row = 0; row < rows.size(); ++row) {
-    segment.row_ids.push_back(rows[row].first);
-    for (const auto& [field, value] : rows[row].second) {
-      builders[field].Append(row, value);
-    }
-  }
-  segment.columns.reserve(builders.size());
-  for (auto& [field, builder] : builders) {
-    builder.Extend(0, static_cast<std::uint32_t>(rows.size()) -
-                          builder.filled);  // pad the tail
-    ColumnSegment::Column column;
-    column.field = field;
-    column.dict = std::move(builder.dict);
-    column.runs = std::move(builder.runs);
-    segment.columns.push_back(std::move(column));
-  }
-  return segment;
+                           std::int64_t day, Executor& executor,
+                           std::size_t chunks) {
+  return MergeChunks(VisitChunks(journal, executor, chunks), day, executor);
 }
+
+AnalyticsTier::AnalyticsTier(const storage::EventJournal& journal,
+                             Options options)
+    : journal_(journal),
+      options_(std::move(options)),
+      executor_(static_cast<int>(
+          std::max(1u, std::thread::hardware_concurrency()) - 1)) {}
 
 bool AnalyticsTier::BuildDay(std::int64_t day, std::string* error) {
   TRACE_SPAN("query", "columnar.build");
-  auto segment = std::make_shared<const ColumnSegment>(
-      BuildSegment(journal_, day));
-  const std::string encoded = segment->Encode();
+  const core::MutexLock build_lock(build_mu_);
+  std::shared_ptr<const ColumnSegment> segment;
+  {
+    std::vector<std::unique_ptr<Chunk>> chunks;
+    {
+      const metrics::ScopedTimer timer(visit_us_metric_);
+      const auto threads =
+          static_cast<std::size_t>(executor_.thread_count()) + 1;
+      chunks = VisitChunks(journal_, executor_, kChunksPerThread * threads);
+    }
+    const metrics::ScopedTimer timer(merge_us_metric_);
+    segment = std::make_shared<const ColumnSegment>(
+        MergeChunks(std::move(chunks), day, executor_));
+  }
+  std::string encoded;
+  {
+    const metrics::ScopedTimer timer(encode_us_metric_);
+    encoded = segment->Encode();
+  }
   if (!options_.dir.empty()) {
+    const metrics::ScopedTimer timer(write_us_metric_);
     if (!storage::WriteSegmentFile(SegmentPath(day), encoded, error)) {
       return false;
     }
   }
+  std::vector<SegmentPtr> evicted;  // released after the lock drops
   {
     const core::MutexLock lock(mu_);
+    if (!options_.dir.empty()) {
+      // Every other day is on disk: keep only its slot, so FindSegment
+      // still knows it exists and reloads it on demand.
+      for (auto& [cached_day, cached] : segments_) {
+        if (cached != nullptr) evicted.push_back(std::move(cached));
+      }
+    }
     segments_[day] = std::move(segment);
   }
   built_metric_.Add();
@@ -201,9 +426,13 @@ bool AnalyticsTier::BuildDay(std::int64_t day, std::string* error) {
 AnalyticsTier::SegmentPtr AnalyticsTier::FindSegment(std::int64_t day) const {
   {
     const core::ReaderLock lock(mu_);
-    // Newest cached day <= the requested one.
+    // Newest known day <= the requested one; an evicted day is reloaded.
     auto it = segments_.upper_bound(day);
-    if (it != segments_.begin()) return std::prev(it)->second;
+    if (it != segments_.begin()) {
+      --it;
+      if (it->second != nullptr) return it->second;
+      day = it->first;
+    }
   }
   if (options_.dir.empty()) return nullptr;
   const std::string path = SegmentPath(day);
@@ -301,7 +530,9 @@ std::vector<std::int64_t> AnalyticsTier::CachedDays() const {
   const core::ReaderLock lock(mu_);
   std::vector<std::int64_t> days;
   days.reserve(segments_.size());
-  for (const auto& [day, segment] : segments_) days.push_back(day);
+  for (const auto& [day, segment] : segments_) {
+    if (segment != nullptr) days.push_back(day);
+  }
   return days;
 }
 
@@ -319,6 +550,14 @@ void AnalyticsTier::BindMetrics(metrics::Registry* registry) {
       metrics::BindCounter(registry, "censys.query.segment_corrupt");
   fallback_metric_ =
       metrics::BindCounter(registry, "censys.query.fallback_walks");
+  visit_us_metric_ =
+      metrics::BindHistogram(registry, "censys.query.build_visit_us");
+  merge_us_metric_ =
+      metrics::BindHistogram(registry, "censys.query.build_merge_us");
+  encode_us_metric_ =
+      metrics::BindHistogram(registry, "censys.query.build_encode_us");
+  write_us_metric_ =
+      metrics::BindHistogram(registry, "censys.query.build_write_us");
 }
 
 }  // namespace censys::query

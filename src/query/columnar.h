@@ -35,16 +35,30 @@
 // journal walk: slower, never wrong.
 //
 // Staleness: a segment answers "as of the day it was built". Queries for
-// day D are served by the newest cached segment with day' <= D; the
-// Aggregate result carries (day, from_segment) so callers — and the
-// replica router above — can label the answer's freshness the same way
-// PR 9's watermarks label replica reads.
+// day D are served by the newest segment with day' <= D; the Aggregate
+// result carries (day, from_segment) so callers — and the replica router
+// above — can label the answer's freshness the same way replica
+// watermarks label replica reads.
+//
+// Memory: a tier that persists to a directory keeps only the day it last
+// built in memory (plus days read back since); earlier days stay on disk
+// and FindSegment reloads them on demand. An in-memory tier keeps every
+// day, since nothing else holds its segments.
+//
+// Building: BuildDay cuts the sorted entity ids into contiguous chunks and
+// builds each chunk's partial columns on a tier-owned Executor sized to
+// the host's cores, reading every entity state in place under its
+// journal shard's reader lock; the partial columns are then merged per
+// range of field names, also in parallel. The merge is what keeps the
+// bytes independent of the chunk and thread counts (see MergeChunks).
 //
 // Concurrency: one shared mutex guards the segment cache (`segments_`).
 // Decoded segments are immutable shared_ptr<const ColumnSegment>; readers
 // take the shared lock only long enough to pick a segment, then scan it
-// lock-free. BuildDay takes the exclusive lock only to publish. The
-// journal-walk fallback relies on EventJournal's own locking.
+// lock-free. BuildDay takes the exclusive lock only to publish, and holds
+// `build_mu_` throughout, so builds run one at a time (the executor takes
+// one caller). The journal-walk fallback relies on EventJournal's own
+// locking.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +69,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/executor.h"
 #include "core/metrics.h"
 #include "core/thread_safety.h"
 #include "storage/journal.h"
@@ -86,9 +101,15 @@ struct ColumnSegment {
 };
 
 // Snapshots the journal's current non-empty entities (the same universe
-// the search index holds) into a segment stamped `day`.
+// the search index holds) into a segment stamped `day`, visiting the
+// sorted ids in `chunks` contiguous ranges on `executor`. The segment —
+// and so its Encode() bytes — is the same for every chunk count and
+// thread count. Call at a quiescent point: each entity is read under its
+// shard lock, but a concurrent append would land in some chunks' view of
+// the day and not others'.
 ColumnSegment BuildSegment(const storage::EventJournal& journal,
-                           std::int64_t day);
+                           std::int64_t day, Executor& executor,
+                           std::size_t chunks);
 
 class AnalyticsTier {
  public:
@@ -107,17 +128,17 @@ class AnalyticsTier {
     bool from_segment = false;
   };
 
-  AnalyticsTier(const storage::EventJournal& journal, Options options)
-      : journal_(journal), options_(std::move(options)) {}
+  AnalyticsTier(const storage::EventJournal& journal, Options options);
 
   AnalyticsTier(const AnalyticsTier&) = delete;
   AnalyticsTier& operator=(const AnalyticsTier&) = delete;
 
-  // Builds day `day`'s segment from the journal, persists it (when a dir
-  // is configured) via the crash-safe segment file, and caches it.
-  // Returns false with *error set on a (real or injected) write failure;
-  // the cache is only populated on success. Call at a quiescent point —
-  // the build walks the live journal.
+  // Builds day `day`'s segment from the journal on every core, persists
+  // it (when a dir is configured) via the crash-safe segment file, and
+  // caches it, dropping the other days from memory when they are on
+  // disk. Returns false with *error set on a (real or injected) write
+  // failure; the cache is only changed on success. Call at a quiescent
+  // point — the build walks the live journal.
   bool BuildDay(std::int64_t day, std::string* error);
 
   // Counts hosts grouped by the value of exactly `field`, answered from
@@ -134,6 +155,7 @@ class AnalyticsTier {
   Aggregate WalkJournal(std::string_view field) const;
   Aggregate WalkJournalSuffix(std::string_view suffix) const;
 
+  // Days whose segments are in memory.
   std::vector<std::int64_t> CachedDays() const;
   std::string SegmentPath(std::int64_t day) const;
 
@@ -143,15 +165,20 @@ class AnalyticsTier {
  private:
   using SegmentPtr = std::shared_ptr<const ColumnSegment>;
 
-  // Newest cached segment with day' <= day; probes the segment directory
-  // for exactly `day` on a cache miss. Corrupt files count and read as
-  // absent (the caller walks the journal instead).
+  // Newest known segment with day' <= day, read back from the segment
+  // directory when it was evicted; probes the directory for exactly `day`
+  // when no such day is known. Corrupt files count and read as absent
+  // (the caller walks the journal instead).
   SegmentPtr FindSegment(std::int64_t day) const;
 
   const storage::EventJournal& journal_;
   Options options_;
 
+  core::Mutex build_mu_;
+  // BuildDay's threads, idle between builds.
+  Executor executor_ CENSYS_GUARDED_BY(build_mu_);
   mutable core::SharedMutex mu_;
+  // Every day built or read; a null segment is on disk only.
   mutable std::map<std::int64_t, SegmentPtr> segments_ CENSYS_GUARDED_BY(mu_);
 
   metrics::CounterHandle built_metric_;
@@ -160,6 +187,11 @@ class AnalyticsTier {
   metrics::CounterHandle scan_rows_metric_;
   metrics::CounterHandle corrupt_metric_;
   metrics::CounterHandle fallback_metric_;
+  // BuildDay's time by layer, microseconds per build.
+  metrics::HistogramHandle visit_us_metric_;
+  metrics::HistogramHandle merge_us_metric_;
+  metrics::HistogramHandle encode_us_metric_;
+  metrics::HistogramHandle write_us_metric_;
 };
 
 }  // namespace censys::query

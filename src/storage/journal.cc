@@ -393,9 +393,16 @@ std::vector<std::string> EventJournal::EntityIds() const {
 void EventJournal::ForEachEntity(
     const std::function<void(std::string_view, const FieldMap&)>& fn) const {
   // Enumerate in sorted-id order so callers (index rebuilds, digests,
-  // exports) never observe hash-map layout. The per-id re-lookup keeps the
-  // shard lock held only around each callback, same as the old contract.
-  for (const std::string& id : EntityIds()) {
+  // exports) never observe hash-map layout.
+  ForEachEntityIn(EntityIds(), fn);
+}
+
+void EventJournal::ForEachEntityIn(
+    std::span<const std::string> ids,
+    const std::function<void(std::string_view, const FieldMap&)>& fn) const {
+  // The per-id re-lookup keeps the shard lock held only around each
+  // callback.
+  for (const std::string& id : ids) {
     Shard& shard = ShardFor(id);
     const core::ReaderLock lock(shard.mu);
     const auto it = shard.meta.find(id);

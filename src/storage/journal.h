@@ -23,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -243,9 +244,19 @@ class EventJournal {
   // All events of an entity in seqno order (history API).
   std::vector<JournalEvent> History(std::string_view entity_id) const;
 
-  // Entities with at least one journal row.
+  // Entities with at least one journal row, sorted.
   std::vector<std::string> EntityIds() const;
+  // Visits every entity's current state in sorted-id order.
   void ForEachEntity(
+      const std::function<void(std::string_view, const FieldMap&)>& fn) const;
+  // Visits the entities named by `ids` (typically a contiguous slice of
+  // EntityIds()) in the given order, skipping ids with no journal rows.
+  // Each state is read in place under its shard's reader lock, held only
+  // around the callback, so several threads may visit disjoint (or
+  // overlapping) slices at once. `fn` must not call back into the
+  // journal's writers.
+  void ForEachEntityIn(
+      std::span<const std::string> ids,
       const std::function<void(std::string_view, const FieldMap&)>& fn) const;
 
   // Visits every row of every shard in canonical (lexicographic key) order

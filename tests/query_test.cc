@@ -2,8 +2,9 @@
 // with the inverted index exactly), the standing-query registry (delta
 // evaluation, universe tracking for NOT, backfill seeding, pending caps,
 // push callbacks), the columnar analytics segments (round trip, strict
-// decode, crash-safe persistence, corruption fallback to the journal
-// walk), the serving frontend's kAggregate ladder rung, and the
+// decode, a parallel build byte-identical to the serial one, crash-safe
+// persistence, eviction, corruption fallback to the journal walk), the
+// serving frontend's kAggregate ladder rung, and the
 // acceptance-criterion determinism run: pushed match streams must be
 // byte-identical across engine thread counts AND identical to re-running
 // the full search per tick.
@@ -11,14 +12,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "core/executor.h"
 #include "core/fault.h"
 #include "core/metrics.h"
 #include "core/rng.h"
@@ -632,10 +636,164 @@ void FillColumnarJournal(TestJournal& tj) {
   tj.Clear("10.0.0.5");
 }
 
+// A one-chunk build on the calling thread.
+ColumnSegment BuildInline(const storage::EventJournal& journal,
+                          std::int64_t day) {
+  Executor inline_executor(0);
+  return BuildSegment(journal, day, inline_executor, 1);
+}
+
+// The single-threaded builder BuildSegment replaced, kept here as the
+// oracle of the parallel one: copy every non-empty state, sort the rows by
+// id, and stream each field's cells into a first-appearance dictionary
+// and maximal runs.
+ColumnSegment ReferenceSegment(const storage::EventJournal& journal,
+                               std::int64_t day) {
+  std::vector<std::pair<std::string, storage::FieldMap>> rows;
+  journal.ForEachEntity(
+      [&](std::string_view entity, const storage::FieldMap& fields) {
+        if (!fields.empty()) rows.emplace_back(std::string(entity), fields);
+      });
+  std::sort(rows.begin(), rows.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  struct Builder {
+    std::vector<std::string> dict;
+    std::map<std::string, std::uint32_t> ids;
+    std::vector<ColumnSegment::Run> runs;
+    std::uint32_t filled = 0;
+    void Extend(std::uint32_t id, std::uint32_t length) {
+      if (length == 0) return;
+      if (!runs.empty() && runs.back().value == id) {
+        runs.back().length += length;
+      } else {
+        runs.push_back({id, length});
+      }
+      filled += length;
+    }
+  };
+  ColumnSegment segment;
+  segment.day = day;
+  std::map<std::string, Builder> builders;
+  for (std::uint32_t row = 0; row < rows.size(); ++row) {
+    segment.row_ids.push_back(rows[row].first);
+    for (const auto& [field, value] : rows[row].second) {
+      Builder& b = builders[field];
+      if (row > b.filled) b.Extend(0, row - b.filled);
+      const auto [it, inserted] =
+          b.ids.emplace(value, static_cast<std::uint32_t>(b.dict.size()) + 1);
+      if (inserted) b.dict.push_back(value);
+      b.Extend(it->second, 1);
+    }
+  }
+  for (auto& [field, b] : builders) {
+    b.Extend(0, static_cast<std::uint32_t>(rows.size()) - b.filled);
+    segment.columns.push_back({field, std::move(b.dict), std::move(b.runs)});
+  }
+  return segment;
+}
+
+// A seeded journal of `entities` hosts: a low-cardinality column, a column
+// with more distinct values than any small dictionary, sparse per-port
+// columns, hosts emptied or stripped of fields by later events, and a
+// column only the last host carries.
+void FillSeededJournal(TestJournal& tj, std::uint64_t seed, int entities) {
+  Rng rng(seed);
+  std::vector<std::string> ids;
+  for (int e = 0; e < entities; ++e) {
+    char id[16];
+    std::snprintf(id, sizeof(id), "h%05d", e);
+    ids.emplace_back(id);
+    storage::FieldMap fields;
+    fields["country"] = "c" + std::to_string(rng.NextBelow(3));
+    if (rng.Bernoulli(0.8)) {
+      fields["banner"] = "b" + std::to_string(rng.NextBelow(40));
+    }
+    for (int port = 0; port < 12; ++port) {
+      if (rng.Bernoulli(0.15)) {
+        fields["svc." + std::to_string(port) + ".name"] =
+            "s" + std::to_string(rng.NextBelow(4));
+      }
+    }
+    tj.Set(id, std::move(fields));
+  }
+  for (const std::string& id : ids) {
+    const std::uint64_t roll = rng.NextBelow(10);
+    if (roll == 0) {
+      tj.Clear(id);
+    } else if (roll == 1) {
+      tj.Set(id, {{"country", "c9"}});
+    }
+  }
+  tj.Set(ids.back(), {{"country", "c0"}, {"tail.only", "last"}});
+}
+
+TEST(ColumnSegmentTest, ParallelBuildIsByteIdentical) {
+  TestJournal empty;
+  TestJournal fixed;
+  FillColumnarJournal(fixed);
+  TestJournal small;
+  FillSeededJournal(small, 7, 40);
+  TestJournal large;
+  FillSeededJournal(large, 11, 600);
+  Executor inline_executor(0);
+  Executor threads(3);
+  for (const TestJournal* tj : {&empty, &fixed, &small, &large}) {
+    const std::string want = ReferenceSegment(tj->journal(), 5).Encode();
+    for (Executor* executor : {&inline_executor, &threads}) {
+      for (const std::size_t chunks : {1, 2, 3, 7, 64}) {
+        EXPECT_EQ(BuildSegment(tj->journal(), 5, *executor, chunks).Encode(),
+                  want)
+            << "chunks " << chunks << " threads "
+            << executor->thread_count();
+      }
+    }
+  }
+  // The seeded journals exercise what the merge must get right.
+  const ColumnSegment segment = ReferenceSegment(large.journal(), 5);
+  EXPECT_LT(segment.row_ids.size(), 600u);  // some hosts were emptied
+  auto column = [&](std::string_view field) {
+    return *std::find_if(
+        segment.columns.begin(), segment.columns.end(),
+        [&](const ColumnSegment::Column& c) { return c.field == field; });
+  };
+  EXPECT_GT(column("banner").dict.size(), 16u);
+  EXPECT_EQ(column("tail.only").runs.size(), 2u);  // absent, then the last
+  EXPECT_EQ(ReferenceSegment(empty.journal(), 5).row_ids.size(), 0u);
+  EXPECT_LT(ReferenceSegment(small.journal(), 5).row_ids.size(), 64u);
+}
+
+// The CSG1 bytes of FillColumnarJournal's day-3 segment, pinned: the
+// on-disk format must not drift with the builder.
+TEST(ColumnSegmentTest, GoldenBytes) {
+  TestJournal tj;
+  FillColumnarJournal(tj);
+  EXPECT_EQ(
+      BuildInline(tj.journal(), 3).Encode(),
+      std::string(
+          "\x43\x53\x47\x31\x03\x04\x08\x31\x30\x2e\x30\x2e\x30\x2e"
+          "\x31\x08\x31\x30\x2e\x30\x2e\x30\x2e\x32\x08\x31\x30\x2e"
+          "\x30\x2e\x30\x2e\x33\x08\x31\x30\x2e\x30\x2e\x30\x2e\x34"
+          "\x05\x10\x6c\x6f\x63\x61\x74\x69\x6f\x6e\x2e\x63\x6f\x75"
+          "\x6e\x74\x72\x79\x02\x02\x75\x73\x02\x64\x65\x04\x01\x01"
+          "\x02\x01\x01\x01\x00\x01\x17\x73\x76\x63\x2e\x32\x32\x2f"
+          "\x74\x63\x70\x2e\x73\x65\x72\x76\x69\x63\x65\x2e\x6e\x61"
+          "\x6d\x65\x01\x03\x53\x53\x48\x03\x00\x02\x01\x01\x00\x01"
+          "\x18\x73\x76\x63\x2e\x34\x34\x33\x2f\x74\x63\x70\x2e\x73"
+          "\x65\x72\x76\x69\x63\x65\x2e\x6e\x61\x6d\x65\x01\x04\x48"
+          "\x54\x54\x50\x03\x00\x01\x01\x01\x00\x02\x17\x73\x76\x63"
+          "\x2e\x38\x30\x2f\x74\x63\x70\x2e\x73\x65\x72\x76\x69\x63"
+          "\x65\x2e\x6e\x61\x6d\x65\x01\x04\x48\x54\x54\x50\x03\x01"
+          "\x02\x00\x01\x01\x01\x1b\x73\x76\x63\x2e\x38\x30\x2f\x74"
+          "\x63\x70\x2e\x73\x6f\x66\x74\x77\x61\x72\x65\x2e\x70\x72"
+          "\x6f\x64\x75\x63\x74\x01\x05\x6e\x67\x69\x6e\x78\x03\x01"
+          "\x01\x00\x02\x01\x01",
+          229));
+}
+
 TEST(ColumnSegmentTest, EncodeDecodeRoundTrip) {
   TestJournal tj;
   FillColumnarJournal(tj);
-  const ColumnSegment segment = BuildSegment(tj.journal(), 7);
+  const ColumnSegment segment = BuildInline(tj.journal(), 7);
   EXPECT_EQ(segment.day, 7);
   ASSERT_EQ(segment.row_ids.size(), 4u);  // .5 was emptied
   EXPECT_TRUE(std::is_sorted(segment.row_ids.begin(), segment.row_ids.end()));
@@ -659,7 +817,7 @@ TEST(ColumnSegmentTest, EncodeDecodeRoundTrip) {
 TEST(ColumnSegmentTest, DecodeRejectsStructuralCorruption) {
   TestJournal tj;
   FillColumnarJournal(tj);
-  ColumnSegment segment = BuildSegment(tj.journal(), 7);
+  ColumnSegment segment = BuildInline(tj.journal(), 7);
   const std::string encoded = segment.Encode();
 
   // Every strict prefix is invalid (truncation can never mis-aggregate).
@@ -764,6 +922,40 @@ TEST(AnalyticsTierTest, SegmentsPersistAcrossInstances) {
   EXPECT_EQ(agg.groups, (std::map<std::string, std::uint64_t>{{"HTTP", 3}}));
   // The reload is cached: a second scan needs no directory probe.
   EXPECT_EQ(reader.CachedDays(), std::vector<std::int64_t>{3});
+}
+
+TEST(AnalyticsTierTest, PersistedTierKeepsOnlyTheNewestDayInMemory) {
+  TestJournal tj;
+  FillColumnarJournal(tj);
+  const std::string dir = test::ScratchDir("query_segments_evict");
+  AnalyticsTier tier(tj.journal(), {.dir = dir});
+  std::string error;
+  ASSERT_TRUE(tier.BuildDay(3, &error)) << error;
+  tj.Set("10.0.0.6", {{"svc.80/tcp.service.name", "HTTP"}});
+  ASSERT_TRUE(tier.BuildDay(4, &error)) << error;
+  EXPECT_EQ(tier.CachedDays(), std::vector<std::int64_t>{4});
+
+  // The evicted day reloads from disk, still answering as of day 3.
+  const auto day3 = tier.GroupCount(3, "svc.80/tcp.service.name");
+  EXPECT_TRUE(day3.from_segment);
+  EXPECT_EQ(day3.day, 3);
+  EXPECT_EQ(day3.groups, (std::map<std::string, std::uint64_t>{{"HTTP", 3}}));
+
+  // A day between two built ones is answered by the newest earlier day,
+  // though that day is no longer in memory.
+  ASSERT_TRUE(tier.BuildDay(6, &error)) << error;
+  EXPECT_EQ(tier.CachedDays(), std::vector<std::int64_t>{6});
+  const auto day5 = tier.GroupCount(5, "svc.80/tcp.service.name");
+  EXPECT_TRUE(day5.from_segment);
+  EXPECT_EQ(day5.day, 4);
+  EXPECT_EQ(day5.groups, (std::map<std::string, std::uint64_t>{{"HTTP", 4}}));
+  EXPECT_EQ(tier.CachedDays(), (std::vector<std::int64_t>{4, 6}));
+
+  // An in-memory tier keeps every day: nothing else holds its segments.
+  AnalyticsTier memory(tj.journal(), {});
+  ASSERT_TRUE(memory.BuildDay(3, &error)) << error;
+  ASSERT_TRUE(memory.BuildDay(4, &error)) << error;
+  EXPECT_EQ(memory.CachedDays(), (std::vector<std::int64_t>{3, 4}));
 }
 
 // ------------------------------------------------- corruption fallback

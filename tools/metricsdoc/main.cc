@@ -178,6 +178,17 @@ constexpr MetricDoc kDocs[] = {
     {"censys.query.fallback_walks", "query",
      "Aggregation scans answered by the live journal walk (no usable "
      "segment)."},
+    {"censys.query.build_visit_us", "query",
+     "Segment builds: microseconds visiting entity chunks into partial "
+     "columns."},
+    {"censys.query.build_merge_us", "query",
+     "Segment builds: microseconds merging partial columns per field "
+     "range."},
+    {"censys.query.build_encode_us", "query",
+     "Segment builds: microseconds encoding the CSG1 payload."},
+    {"censys.query.build_write_us", "query",
+     "Segment builds: microseconds writing the segment file (tiers with a "
+     "segment directory)."},
     {"censys.search.docs", "search",
      "Documents currently in the search index."},
     {"censys.search.indexed", "search",
