@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the library:
-// the ZMap-style permutation, SHA-256, delta encoding, journal writes,
-// journal reconstruction, search queries and index updates, the
-// simulated L4 probe path, the executor thread pool, the metrics
-// instruments, and the full staged engine tick at several thread counts.
+// the ZMap-style permutation, SHA-256, delta encoding, the commit stage's
+// per-service diff, journal writes, journal reconstruction, search
+// queries and index updates, the simulated L4 probe path, the executor
+// thread pool, the metrics instruments, and the full staged engine tick
+// at several thread counts.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -13,6 +14,7 @@
 #include "core/sha256.h"
 #include "engines/world.h"
 #include "fingerprint/fingerprints.h"
+#include "pipeline/entity.h"
 #include "scan/cyclic.h"
 #include "search/index.h"
 #include "simnet/internet.h"
@@ -75,6 +77,29 @@ void BM_DeltaCompute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeltaCompute)->Arg(8)->Arg(32);
+
+// The commit stage's diff: one service of a host with 8 services of 16
+// fields each, against its freshly projected fields. Arg 0 is a no-op
+// refresh (empty delta), arg 1 a refresh that changed one field.
+void BM_UpsertServiceDelta(benchmark::State& state) {
+  const IPv4Address ip(0x0A000001);
+  storage::FieldMap host;
+  storage::FieldMap fields;
+  for (const Port port : {22, 80, 443, 3306, 5432, 8080, 8443, 9200}) {
+    const ServiceKey key{ip, port, Transport::kTcp};
+    const std::string prefix = pipeline::ServicePrefix(key);
+    for (const auto& [field, value] : MakeRecord(16, port)) {
+      host.emplace(prefix + field, value);
+      if (port == 3306) fields.emplace(prefix + field, value);
+    }
+  }
+  if (state.range(0) == 1) fields.begin()->second += "-changed";
+  const ServiceKey key{ip, 3306, Transport::kTcp};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pipeline::UpsertServiceDelta(host, key, fields));
+  }
+}
+BENCHMARK(BM_UpsertServiceDelta)->Arg(0)->Arg(1);
 
 void BM_JournalAppend(benchmark::State& state) {
   storage::EventJournal journal;

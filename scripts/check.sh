@@ -56,13 +56,14 @@ run_plain() {
 # engine determinism checks that exercise the parallel executor, plus the
 # pivot-table oracle (the commit-stream observer runs inside group commit),
 # plus the WAL crash-recovery torture loop (fault unwinding + POSIX I/O
-# under ASan).
+# under ASan), plus the commit stage's in-place diff and due-time index
+# oracles and the pinned leader-journal digest (iterators into live maps).
 SAN_TESTS=(
   "serving_test:"
   "storage_test:JournalConcurrencyTest.*:Wal*"
-  "pipeline_test:ReadSideTest.LookupsRunConcurrentlyWithIngest"
+  "pipeline_test:ReadSideTest.LookupsRunConcurrentlyWithIngest:EntityTest.InPlaceUpsertMatchesComputeDeltaOverACopy:DueIndexTest.*"
   "search_test:IndexTest.*:IndexConcurrencyTest.*"
-  "engines_test:WorldDeterminismTest.Parallel*:WorldDeterminismTest.GroupCommit*:TickReportTest.*:PivotOracleTest.*"
+  "engines_test:WorldDeterminismTest.Parallel*:WorldDeterminismTest.GroupCommit*:WorldDeterminismTest.GoldenLeaderJournalDigest:TickReportTest.*:PivotOracleTest.*"
   "core_test:ExecutorTest.*:FaultInjectorTest.*:Crc32cTest.*"
   "failure_injection_test:WalTortureTest.*:WalFaultTest.*:TickPipelineFaultTest.*"
   "trace_test:"

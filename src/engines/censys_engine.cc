@@ -156,6 +156,12 @@ CensysEngine::CensysEngine(simnet::Internet& net, cert::CtLog& ct_log,
       metrics::BindHistogram(&metrics_, "censys.engine.stage.daily_us");
   stage_commit_metric_ =
       metrics::BindHistogram(&metrics_, "censys.engine.stage.commit_us");
+  refresh_due_metric_ =
+      metrics::BindHistogram(&metrics_, "censys.engine.refresh_due_us");
+  predict_generate_metric_ =
+      metrics::BindHistogram(&metrics_, "censys.predict.generate_us");
+  snapshot_metric_ =
+      metrics::BindHistogram(&metrics_, "censys.engine.snapshot_us");
   tick_metric_ = metrics::BindHistogram(&metrics_, "censys.engine.tick_us");
   rebuild_metric_ =
       metrics::BindHistogram(&metrics_, "censys.search.rebuild_us");
@@ -316,20 +322,14 @@ void CensysEngine::ProcessThinRecord(ServiceKey key, Timestamp at) {
 }
 
 void CensysEngine::RunRefresh(Timestamp to) {
-  struct Due {
-    ServiceKey key;
-    bool pending;
-  };
-  std::vector<Due> due;
-  write_side_->ForEachTracked([&](const pipeline::ServiceState& state) {
-    if (state.last_refreshed + config_.refresh_interval <= to) {
-      due.push_back(Due{state.key,
-                        state.pending_eviction_since.has_value()});
-    }
-  });
+  std::vector<pipeline::ServiceState> due;
+  {
+    const metrics::ScopedTimer timer(refresh_due_metric_);
+    due = write_side_->DueForRefresh(to - config_.refresh_interval);
+  }
   if (!config_.two_phase_validation) {
     // Naive-pipeline ablation: refresh is an L4 probe, no L7 validation.
-    for (const Due& item : due) {
+    for (const pipeline::ServiceState& item : due) {
       const int pop = next_pop_;
       next_pop_ = (next_pop_ + 1) % config_.pop_count;
       if (discovery_->ProbeOne(item.key, to, pop)) {
@@ -345,7 +345,7 @@ void CensysEngine::RunRefresh(Timestamp to) {
   // exactly as the serial loop made them.
   std::vector<InterrogationJob> jobs;
   jobs.reserve(due.size());
-  for (const Due& item : due) {
+  for (const pipeline::ServiceState& item : due) {
     InterrogationJob job;
     job.key = item.key;
     job.at = to;
@@ -361,7 +361,7 @@ void CensysEngine::RunRefresh(Timestamp to) {
     // "If a service appears unresponsive from one PoP, we attempt to scan
     // it from the other PoPs over the following 24 hours" — pending
     // services rotate PoPs on each retry.
-    job.pop = item.pending
+    job.pop = item.pending_eviction_since.has_value()
                   ? next_pop_
                   : static_cast<int>(item.key.Pack() %
                                      static_cast<std::uint64_t>(
@@ -383,7 +383,12 @@ void CensysEngine::RunPredictive(Timestamp from, Timestamp to) {
   const std::size_t budget = static_cast<std::size_t>(
       config_.predictive_budget_per_day_frac *
       static_cast<double>(net_.blocks().universe_size()) * day_fraction);
-  for (ServiceKey key : predictive_->GenerateCandidates(to, budget)) {
+  std::vector<ServiceKey> candidates;
+  {
+    const metrics::ScopedTimer timer(predict_generate_metric_);
+    candidates = predictive_->GenerateCandidates(to, budget);
+  }
+  for (const ServiceKey key : candidates) {
     const int pop = next_pop_;
     next_pop_ = (next_pop_ + 1) % config_.pop_count;
     if (!discovery_->ProbeOne(key, to, pop)) continue;
@@ -427,21 +432,31 @@ void CensysEngine::RunReinjection(Timestamp day_start) {
 }
 
 void CensysEngine::TakeAnalyticsSnapshot(Timestamp day_start) {
+  const metrics::ScopedTimer timer(snapshot_metric_);
   search::DailySnapshot snapshot;
   snapshot.day = day_start.minutes / 1440;
-  std::unordered_set<std::uint32_t> hosts;
+  const core::ThreadRoleGuard role(journal_.command_role());
+  // Services arrive in key order, so each host is one run of them and
+  // shares one state lookup.
+  std::optional<IPv4Address> host;
+  const storage::FieldMap* fields = nullptr;
   write_side_->ForEachTracked([&](const pipeline::ServiceState& state) {
     ++snapshot.total_services;
-    hosts.insert(state.key.ip.value());
     ++snapshot.by_port[state.key.port];
-    const EngineEntry entry = EntryFor(state);
-    ++snapshot.by_protocol[std::string(proto::Name(entry.label))];
+    if (host != state.key.ip) {
+      host = state.key.ip;
+      ++snapshot.total_hosts;
+      fields = journal_.CurrentState(pipeline::HostEntityId(state.key.ip));
+    }
+    const proto::Protocol label =
+        fields != nullptr ? pipeline::ServiceProtocol(*fields, state.key)
+                          : proto::Protocol::kUnknown;
+    ++snapshot.by_protocol[std::string(proto::Name(label))];
     if (state.key.ip.value() < net_.blocks().universe_size()) {
       ++snapshot.by_country[std::string(simnet::ToString(
           net_.blocks().BlockOf(state.key.ip).country))];
     }
   });
-  snapshot.total_hosts = hosts.size();
   analytics_.AddSnapshot(std::move(snapshot));
   analytics_.ThinOut(day_start);
 }
@@ -569,9 +584,7 @@ EngineEntry CensysEngine::EntryFor(const pipeline::ServiceState& state) const {
   const core::ThreadRoleGuard role(journal_.command_role());
   if (const storage::FieldMap* fields =
           journal_.CurrentState(pipeline::HostEntityId(state.key.ip))) {
-    if (const auto record = pipeline::RecordFrom(*fields, state.key)) {
-      entry.label = record->protocol;
-    }
+    entry.label = pipeline::ServiceProtocol(*fields, state.key);
   }
   return entry;
 }

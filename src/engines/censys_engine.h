@@ -284,6 +284,9 @@ class CensysEngine : public ScanEngine {
   metrics::HistogramHandle stage_refresh_metric_;
   metrics::HistogramHandle stage_daily_metric_;
   metrics::HistogramHandle stage_commit_metric_;
+  metrics::HistogramHandle refresh_due_metric_;
+  metrics::HistogramHandle predict_generate_metric_;
+  metrics::HistogramHandle snapshot_metric_;
   metrics::HistogramHandle tick_metric_;
   metrics::HistogramHandle rebuild_metric_;
 };

@@ -78,6 +78,13 @@ std::optional<ServiceRecord> RecordFrom(
   return ServiceRecord::FromFields(key, fields);
 }
 
+proto::Protocol ServiceProtocol(const storage::FieldMap& entity_state,
+                                ServiceKey key) {
+  const auto it = entity_state.find(ServicePrefix(key) + "service.name");
+  if (it == entity_state.end()) return proto::Protocol::kUnknown;
+  return proto::FromName(it->second).value_or(proto::Protocol::kUnknown);
+}
+
 storage::Delta UpsertServiceDelta(const storage::FieldMap& entity_state,
                                   const ServiceRecord& record) {
   return UpsertServiceDelta(entity_state, record.key, ServiceFields(record));
@@ -86,13 +93,12 @@ storage::Delta UpsertServiceDelta(const storage::FieldMap& entity_state,
 storage::Delta UpsertServiceDelta(const storage::FieldMap& entity_state,
                                   ServiceKey key,
                                   const storage::FieldMap& service_fields) {
+  // Diffs the service's range of entity_state in place, uncopied.
   const std::string prefix = ServicePrefix(key);
-  storage::FieldMap before;
-  for (auto it = entity_state.lower_bound(prefix);
-       it != entity_state.end() && StartsWith(it->first, prefix); ++it) {
-    before.emplace(it->first, it->second);
-  }
-  return storage::ComputeDelta(before, service_fields);
+  const auto begin = entity_state.lower_bound(prefix);
+  auto end = begin;
+  while (end != entity_state.end() && StartsWith(end->first, prefix)) ++end;
+  return storage::ComputeDelta(begin, end, service_fields);
 }
 
 storage::Delta RemoveServiceDelta(const storage::FieldMap& entity_state,

@@ -41,6 +41,11 @@ std::vector<ServiceKey> ServicesIn(const storage::FieldMap& entity_state,
 std::optional<ServiceRecord> RecordFrom(
     const storage::FieldMap& entity_state, ServiceKey key);
 
+// The protocol label RecordFrom(entity_state, key) would carry, read from
+// the one field in place; kUnknown when the service is absent.
+proto::Protocol ServiceProtocol(const storage::FieldMap& entity_state,
+                                ServiceKey key);
+
 // Delta that inserts/updates the service (empty if nothing changed).
 storage::Delta UpsertServiceDelta(const storage::FieldMap& entity_state,
                                   const ServiceRecord& record);

@@ -118,7 +118,7 @@ void WriteSide::IngestScanLocked(const ServiceRecord& record,
     service_state.first_seen = record.observed_at;
   }
   service_state.last_seen = record.observed_at;
-  service_state.last_refreshed = record.observed_at;
+  MarkRefreshed(service_state, record.observed_at);
   service_state.pending_eviction_since.reset();
   // Even a no-op refresh (empty delta, nothing journaled) moved last_seen,
   // which is visible in HostViews — cached views must not survive it.
@@ -179,12 +179,76 @@ void WriteSide::IngestFailure(ServiceKey key, Timestamp at) {
   failure_metric_.Add();
   const auto it = states_.find(key.Pack());
   if (it == states_.end()) return;
-  it->second.last_refreshed = at;
+  MarkRefreshed(it->second, at);
   if (!it->second.pending_eviction_since.has_value()) {
     // "Mark services as pending eviction after the first scan fails."
     it->second.pending_eviction_since = at;
+    eviction_pending_.push_back(it->first);
   }
   BumpRevision(key.ip);
+}
+
+void WriteSide::MarkRefreshed(ServiceState& state, Timestamp at) {
+  state.last_refreshed = at;
+  refresh_due_[at].push_back(state.key.Pack());
+}
+
+std::vector<ServiceState> WriteSide::DueForRefresh(Timestamp cutoff) {
+  command_role_.AdoptCurrentThread();
+  const core::MutexLock lock(mu_);
+  std::vector<ServiceState> due;
+  for (auto bucket = refresh_due_.begin();
+       bucket != refresh_due_.end() && bucket->first <= cutoff;) {
+    // Keep the entries states_ still files under this time; a due service
+    // that is not refreshed stays due.
+    std::erase_if(bucket->second, [&](std::uint64_t packed) {
+      const auto it = states_.find(packed);
+      if (it == states_.end() || it->second.last_refreshed != bucket->first) {
+        return true;
+      }
+      due.push_back(it->second);
+      return false;
+    });
+    bucket = bucket->second.empty() ? refresh_due_.erase(bucket)
+                                    : std::next(bucket);
+  }
+  std::sort(due.begin(), due.end(),
+            [](const ServiceState& a, const ServiceState& b) {
+              return a.key.Pack() < b.key.Pack();
+            });
+  due.erase(std::unique(due.begin(), due.end(),
+                        [](const ServiceState& a, const ServiceState& b) {
+                          return a.key == b.key;
+                        }),
+            due.end());
+  return due;
+}
+
+std::vector<ServiceKey> WriteSide::DueForEviction(Timestamp now) {
+  command_role_.AdoptCurrentThread();
+  const core::MutexLock lock(mu_);
+  return DueForEvictionLocked(now);
+}
+
+std::vector<ServiceKey> WriteSide::DueForEvictionLocked(Timestamp now) {
+  std::sort(eviction_pending_.begin(), eviction_pending_.end());
+  eviction_pending_.erase(
+      std::unique(eviction_pending_.begin(), eviction_pending_.end()),
+      eviction_pending_.end());
+  std::vector<ServiceKey> due;
+  std::erase_if(eviction_pending_, [&](std::uint64_t packed) {
+    const auto it = states_.find(packed);
+    if (it == states_.end() ||
+        !it->second.pending_eviction_since.has_value()) {
+      return true;
+    }
+    if (*it->second.pending_eviction_since + options_.eviction_deadline <=
+        now) {
+      due.push_back(it->second.key);
+    }
+    return false;
+  });
+  return due;
 }
 
 void WriteSide::AdvanceTo(Timestamp now) {
@@ -193,20 +257,7 @@ void WriteSide::AdvanceTo(Timestamp now) {
   const core::MutexLock lock(mu_);
   // Evictions journal write-through; staged scan events must land first.
   if (batching_) FlushCommitBatchLocked();
-  std::vector<ServiceState> to_evict;
-  // censyslint:allow(unordered-iter): candidates sorted by key before any
-  // journal append, so eviction event order never reflects hash layout
-  for (const auto& [packed, state] : states_) {
-    if (state.pending_eviction_since.has_value() &&
-        *state.pending_eviction_since + options_.eviction_deadline <= now) {
-      to_evict.push_back(state);
-    }
-  }
-  std::sort(to_evict.begin(), to_evict.end(),
-            [](const ServiceState& a, const ServiceState& b) {
-              return a.key.Pack() < b.key.Pack();
-            });
-  for (const ServiceState& state : to_evict) Evict(state, now);
+  for (const ServiceKey key : DueForEvictionLocked(now)) Evict(key, now);
 
   // Age out the pruned list beyond the re-injection window.
   while (!pruned_.empty() &&
@@ -215,17 +266,17 @@ void WriteSide::AdvanceTo(Timestamp now) {
   }
 }
 
-void WriteSide::Evict(const ServiceState& state, Timestamp now) {
-  const std::string entity = HostEntityId(state.key.ip);
+void WriteSide::Evict(ServiceKey key, Timestamp now) {
+  const std::string entity = HostEntityId(key.ip);
   if (const storage::FieldMap* current = journal_.CurrentState(entity)) {
-    const storage::Delta delta = RemoveServiceDelta(*current, state.key);
+    const storage::Delta delta = RemoveServiceDelta(*current, key);
     if (!delta.empty()) {
       journal_.Append(entity, storage::EventKind::kServiceRemoved, now, delta);
     }
   }
-  states_.erase(state.key.Pack());
-  pruned_.push_back(PrunedEntry{state.key, now});
-  BumpRevision(state.key.ip);
+  states_.erase(key.Pack());
+  pruned_.push_back(PrunedEntry{key, now});
+  BumpRevision(key.ip);
   evictions_.fetch_add(1, std::memory_order_relaxed);
   eviction_metric_.Add();
   tracked_metric_.Set(static_cast<std::int64_t>(states_.size()));

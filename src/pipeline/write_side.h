@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -104,6 +105,15 @@ class WriteSide {
   // Evicts services whose pending-eviction deadline has passed.
   void AdvanceTo(Timestamp now);
 
+  // --- due-time index ----------------------------------------------------------
+  // Both sets come from an index kept beside the scan state, so their cost
+  // follows what is due, not the map size. Command thread only.
+  //
+  // Services last refreshed at or before `cutoff`, in key order.
+  std::vector<ServiceState> DueForRefresh(Timestamp cutoff);
+  // Services AdvanceTo(now) would evict, in key order.
+  std::vector<ServiceKey> DueForEviction(Timestamp now);
+
   // --- scan-state queries -----------------------------------------------------
   // Command-thread fast path: pointer into the map, invalidated by a
   // concurrent eviction. Concurrent readers use GetStateCopy. Callers must
@@ -161,7 +171,11 @@ class WriteSide {
                         const std::uint64_t* content_hash)
       CENSYS_REQUIRES(mu_);
   void FlushCommitBatchLocked() CENSYS_REQUIRES(mu_);
-  void Evict(const ServiceState& state, Timestamp now)
+  // Sets last_refreshed and files the service under it in the due index.
+  void MarkRefreshed(ServiceState& state, Timestamp at) CENSYS_REQUIRES(mu_);
+  std::vector<ServiceKey> DueForEvictionLocked(Timestamp now)
+      CENSYS_REQUIRES(mu_);
+  void Evict(ServiceKey key, Timestamp now)
       CENSYS_REQUIRES(mu_, journal_.command_role());
   void BumpRevision(IPv4Address ip) CENSYS_REQUIRES(mu_) {
     ++host_revisions_[ip.value()];
@@ -177,6 +191,14 @@ class WriteSide {
 
   // Service scan state by packed key.
   std::unordered_map<std::uint64_t, ServiceState> states_ CENSYS_GUARDED_BY(mu_);
+  // The due-time index over states_. Every write of a last_refreshed files
+  // the packed key under that time; every pending-eviction mark appends it
+  // to eviction_pending_. Entries are never erased eagerly: a reader drops
+  // the ones states_ no longer backs (refreshed again, cleared, evicted or
+  // pseudo-suppressed) and collapses duplicates, so removals need no hooks.
+  std::map<Timestamp, std::vector<std::uint64_t>> refresh_due_
+      CENSYS_GUARDED_BY(mu_);
+  std::vector<std::uint64_t> eviction_pending_ CENSYS_GUARDED_BY(mu_);
   struct PrunedEntry {
     ServiceKey key;
     Timestamp pruned_at;

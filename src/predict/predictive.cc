@@ -14,6 +14,42 @@ std::uint32_t PairKey(Port a, Port b) {
   return (static_cast<std::uint32_t>(a) << 16) | b;
 }
 
+constexpr std::size_t kTopPartners = 8;
+
+using Partner = std::pair<Port, std::uint32_t>;
+
+// A correlated_ list's order: higher count first, ties by lower port.
+bool RanksBefore(const Partner& x, const Partner& y) {
+  if (x.second != y.second) return x.second > y.second;
+  return x.first < y.first;
+}
+
+// Sets `partner`'s count in a top list after it grew. Counts only grow, so
+// a partner outside the list can enter only here, when its own count
+// rises, and it can only move up.
+void Promote(std::vector<Partner>& top, Partner partner) {
+  // A member's count now exceeds the 8th's, so a full list whose 8th
+  // this partner does not rank before cannot hold it: the common case,
+  // settled without a scan.
+  if (top.size() == kTopPartners && !RanksBefore(partner, top.back())) {
+    return;
+  }
+  auto it = std::find_if(top.begin(), top.end(), [&](const Partner& p) {
+    return p.first == partner.first;
+  });
+  if (it != top.end()) {
+    it->second = partner.second;
+  } else if (top.size() < kTopPartners) {
+    it = top.insert(top.end(), partner);
+  } else {
+    it = top.end() - 1;
+    *it = partner;  // displaces the 8th
+  }
+  for (; it != top.begin() && RanksBefore(*it, *(it - 1)); --it) {
+    std::iter_swap(it, it - 1);
+  }
+}
+
 }  // namespace
 
 PredictiveEngine::PredictiveEngine(const simnet::BlockPlan& plan,
@@ -30,15 +66,19 @@ void PredictiveEngine::ObserveService(ServiceKey key) {
   if (std::find(ports.begin(), ports.end(), key.port) == ports.end()) {
     // Update co-occurrence with previously known ports on this host.
     if (pair_counts_.size() < options_.max_pairs) {
-      for (Port existing : ports) {
-        ++pair_counts_[PairKey(existing, key.port)];
-      }
-      correlated_dirty_ = true;
+      for (Port existing : ports) RaisePair(existing, key.port);
     }
     if (ports.size() < 16) ports.push_back(key.port);
     // Freshly (re)discovered hosts are prime co-occurrence targets.
     if (recent_hosts_.size() < 65536) recent_hosts_.push_back(key.ip.value());
   }
+}
+
+void PredictiveEngine::RaisePair(Port a, Port b) {
+  const std::uint32_t count = ++pair_counts_[PairKey(a, b)];
+  if (count < options_.min_cooccurrence_support) return;
+  Promote(correlated_[a], Partner{b, count});
+  Promote(correlated_[b], Partner{a, count});
 }
 
 bool PredictiveEngine::Cooldown(ServiceKey key, Timestamp now) {
@@ -101,26 +141,6 @@ std::vector<ServiceKey> PredictiveEngine::GenerateCandidates(
   // For hosts with known services, propose the most strongly correlated
   // ports. Hosts with fresh discoveries are drained first — a brand-new
   // host with port 80 open is the best candidate for its siblings.
-  if (correlated_dirty_) {
-    correlated_.clear();
-    for (const auto& [pair, count] : pair_counts_) {
-      if (count < options_.min_cooccurrence_support) continue;
-      const Port a = static_cast<Port>(pair >> 16);
-      const Port b = static_cast<Port>(pair & 0xffff);
-      correlated_[a].emplace_back(b, count);
-      correlated_[b].emplace_back(a, count);
-    }
-    for (auto& [port, list] : correlated_) {
-      std::sort(list.begin(), list.end(),
-                [](const auto& x, const auto& y) {
-                  if (x.second != y.second) return x.second > y.second;
-                  return x.first < y.first;
-                });
-      if (list.size() > 8) list.resize(8);
-    }
-    correlated_dirty_ = false;
-  }
-
   std::size_t emitted = 0;
   const std::size_t cooccur_budget = budget - out.size();
   auto propose_for_host = [&](std::uint32_t ip) {

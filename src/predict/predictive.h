@@ -64,6 +64,9 @@ class PredictiveEngine {
 
  private:
   bool Cooldown(ServiceKey key, Timestamp now);
+  // Counts one more host with ports a and b both open, keeping both
+  // ports' correlated_ lists exact.
+  void RaisePair(Port a, Port b);
 
   const simnet::BlockPlan& plan_;
   Options options_;
@@ -75,10 +78,10 @@ class PredictiveEngine {
   std::unordered_map<std::uint32_t, std::vector<Port>> host_ports_;
   // Co-occurrence model: (port_a << 16 | port_b) -> count, a < b.
   std::unordered_map<std::uint32_t, std::uint32_t> pair_counts_;
-  // Per-port correlated-port index, rebuilt lazily from pair_counts_.
+  // Per port, its top-8 partners with at least min_cooccurrence_support,
+  // by count (descending) then port, kept exact on every pair increment.
   std::unordered_map<Port, std::vector<std::pair<Port, std::uint32_t>>>
       correlated_;
-  bool correlated_dirty_ = true;
   // Hosts with fresh discoveries, drained first by candidate generation
   // (new hosts are the best co-occurrence targets).
   std::deque<std::uint32_t> recent_hosts_;

@@ -44,15 +44,20 @@ std::optional<Delta> Delta::Decode(std::string_view data) {
 }
 
 Delta ComputeDelta(const FieldMap& before, const FieldMap& after) {
+  return ComputeDelta(before.begin(), before.end(), after);
+}
+
+Delta ComputeDelta(FieldMap::const_iterator before_begin,
+                   FieldMap::const_iterator before_end, const FieldMap& after) {
   Delta delta;
-  // Merge-walk the two sorted maps.
-  auto b = before.begin();
+  // Merge-walk the two sorted ranges.
+  auto b = before_begin;
   auto a = after.begin();
-  while (b != before.end() || a != after.end()) {
-    if (a == after.end() || (b != before.end() && b->first < a->first)) {
+  while (b != before_end || a != after.end()) {
+    if (a == after.end() || (b != before_end && b->first < a->first)) {
       delta.ops.push_back({FieldOp::Kind::kRemove, b->first, {}});
       ++b;
-    } else if (b == before.end() || a->first < b->first) {
+    } else if (b == before_end || a->first < b->first) {
       delta.ops.push_back({FieldOp::Kind::kSet, a->first, a->second});
       ++a;
     } else {

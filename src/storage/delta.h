@@ -39,6 +39,11 @@ struct Delta {
 // The delta that transforms `before` into `after`.
 Delta ComputeDelta(const FieldMap& before, const FieldMap& after);
 
+// Same, with `before` the sorted range [before_begin, before_end) of a
+// larger map (one service's fields of a host entity, say).
+Delta ComputeDelta(FieldMap::const_iterator before_begin,
+                   FieldMap::const_iterator before_end, const FieldMap& after);
+
 // Applies `delta` to `state` in place.
 void ApplyDelta(FieldMap& state, const Delta& delta);
 

@@ -491,6 +491,27 @@ TEST(WorldDeterminismTest, ParallelRunMatchesSerialJournalExactly) {
   EXPECT_EQ(std::get<3>(parallel), std::get<3>(serial));
 }
 
+// The leader journal of a small world whose days journal evictions and
+// pseudo-host suppressions, pinned. The digest was printed by the engine
+// that still walked the whole map for its refresh due list, diffed a copy
+// of each service's fields and rebuilt the co-occurrence lists from every
+// pair count: changes meant only to make the engine faster must keep it.
+TEST(WorldDeterminismTest, GoldenLeaderJournalDigest) {
+  WorldConfig cfg = SmallWorld(23);
+  cfg.universe.target_services = 3000;
+  cfg.with_alternatives = false;
+  cfg.censys.threads = 2;
+  World world(cfg);
+  world.Bootstrap();
+  world.RunForDays(5);
+  const CensysEngine& censys = world.censys();
+  EXPECT_EQ(censys.write_side().services_evicted(), 145u);
+  EXPECT_EQ(censys.write_side().pseudo_suppressed(), 6095u);
+  EXPECT_EQ(censys.write_side().tracked_count(), 2517u);
+  EXPECT_EQ(censys.journal().event_count(), 2967u);
+  EXPECT_EQ(JournalDigest(censys), 0x86a6ed4f873f98a3ull);
+}
+
 // Group commit's invariant: batch size changes WAL write granularity and
 // nothing else. Every (threads, commit_batch) combination must produce the
 // journal the single-threaded write-through run produces, byte for byte —

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/rng.h"
 #include "engines/enrichment.h"
 #include "pipeline/entity.h"
 #include "pipeline/read_side.h"
@@ -96,6 +97,54 @@ TEST(EntityTest, RemoveDeltaErasesOnlyThatService) {
   storage::ApplyDelta(state, RemoveServiceDelta(state, a.key));
   EXPECT_FALSE(RecordFrom(state, a.key).has_value());
   EXPECT_TRUE(RecordFrom(state, b.key).has_value());
+}
+
+// The in-place diff against ComputeDelta over a copy of the range, on one
+// host whose service prefixes sort next to each other ("svc.44/",
+// "svc.443/", "svc.4433/", each on tcp and udp). Each step rewrites one
+// service with fields added, changed and dropped, and values that agree
+// except in length; some steps drop the whole service.
+TEST(EntityTest, InPlaceUpsertMatchesComputeDeltaOverACopy) {
+  const IPv4Address ip(9);
+  const std::vector<std::string> names = {
+      "a", "ab", "b", "service.name", "service.name2", "tls.jarm", "x.k"};
+  const std::vector<std::string> values = {
+      "", "v", "vv", std::string("v\0", 2), "HTTP", "HTTPS"};
+  std::vector<ServiceKey> keys;
+  for (const Port port : {Port{44}, Port{443}, Port{4433}}) {
+    for (const Transport transport : {Transport::kTcp, Transport::kUdp}) {
+      keys.push_back(ServiceKey{ip, port, transport});
+    }
+  }
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    storage::FieldMap state = {{"location.country", "us"}};
+    for (int step = 0; step < 400 && !HasFailure(); ++step) {
+      const ServiceKey key = keys[rng.NextBelow(keys.size())];
+      const std::string prefix = ServicePrefix(key);
+      if (rng.Bernoulli(0.1)) {
+        storage::ApplyDelta(state, RemoveServiceDelta(state, key));
+        continue;
+      }
+      storage::FieldMap fields;
+      for (const std::string& name : names) {
+        if (rng.Bernoulli(0.6)) {
+          fields[prefix + name] = values[rng.NextBelow(values.size())];
+        }
+      }
+      storage::FieldMap before;
+      for (auto it = state.lower_bound(prefix);
+           it != state.end() && it->first.starts_with(prefix); ++it) {
+        before.insert(*it);
+      }
+      const storage::Delta delta = UpsertServiceDelta(state, key, fields);
+      ASSERT_EQ(delta, storage::ComputeDelta(before, fields))
+          << "step " << step << " " << key.ToString();
+      storage::ApplyDelta(state, delta);
+      ASSERT_EQ(RecordFrom(state, key).has_value(), !fields.empty());
+    }
+  }
 }
 
 // ----------------------------------------------------------------- write side
@@ -267,6 +316,94 @@ TEST_F(WriteSideTest, DiverseServicesOnOneHostAreNotPseudo) {
   }
   EXPECT_FALSE(write_.IsPseudoFlagged(host));
   EXPECT_EQ(write_.tracked_count(), 30u);
+}
+
+// The due-time index against a brute-force walk of the scan state: random
+// scans (some backdated), failures, eviction sweeps and pseudo-host
+// flags, checked after every step on several seeds.
+TEST(DueIndexTest, MatchesABruteForceWalkAfterEveryStep) {
+  struct Row {
+    std::uint64_t packed;
+    Timestamp last_refreshed;
+    bool pending;
+    bool operator==(const Row&) const = default;
+  };
+  const auto row = [](const ServiceState& s) {
+    return Row{s.key.Pack(), s.last_refreshed,
+               s.pending_eviction_since.has_value()};
+  };
+  const Duration interval = Duration::Hours(24);
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    storage::EventJournal journal;
+    WriteSide::Options options;
+    options.pseudo_service_threshold = 6;
+    WriteSide write(journal, options);
+    const core::ThreadRoleGuard role(write.command_role());
+    Rng rng(seed);
+    Timestamp now{0};
+    std::size_t evicted_checked = 0;
+    for (int step = 0; step < 1500 && !HasFailure(); ++step) {
+      const IPv4Address ip(static_cast<std::uint32_t>(rng.NextBelow(24)));
+      const Port port = static_cast<Port>(80 + rng.NextBelow(10));
+      const ServiceKey key{ip, port, Transport::kTcp};
+      const double pick = rng.NextDouble();
+      if (pick < 0.45) {
+        // Backdated scans land in earlier buckets than entries already
+        // filed for the same service.
+        const Timestamp at{now.minutes -
+                           static_cast<std::int64_t>(rng.NextBelow(120))};
+        // Hosts under 3 serve one canned page on every port: pseudo
+        // flags. The rest serve distinct pages.
+        write.IngestScan(HttpRecord(
+            ip, port, at,
+            ip.value() < 3 ? "Canned" : "Site " + std::to_string(port)));
+      } else if (pick < 0.8) {
+        write.IngestFailure(key, now);
+      } else if (pick < 0.9) {
+        now = now + Duration::Minutes(
+                        static_cast<std::int64_t>(rng.NextBelow(600)));
+      } else {
+        const std::vector<ServiceKey> due = write.DueForEviction(now);
+        write.AdvanceTo(now);
+        for (const ServiceKey& gone : due) {
+          EXPECT_EQ(write.GetState(gone), nullptr) << gone.ToString();
+        }
+        evicted_checked += due.size();
+      }
+
+      for (const Timestamp cutoff :
+           {now - interval, now - Duration::Minutes(60), now}) {
+        std::vector<Row> want;
+        write.ForEachTracked([&](const ServiceState& s) {
+          if (s.last_refreshed <= cutoff) want.push_back(row(s));
+        });
+        std::vector<Row> got;
+        for (const ServiceState& s : write.DueForRefresh(cutoff)) {
+          got.push_back(row(s));
+        }
+        ASSERT_EQ(got, want) << "step " << step << " cutoff "
+                             << cutoff.minutes;
+      }
+      std::vector<std::uint64_t> want_evict;
+      write.ForEachTracked([&](const ServiceState& s) {
+        if (s.pending_eviction_since.has_value() &&
+            *s.pending_eviction_since + options.eviction_deadline <= now) {
+          want_evict.push_back(s.key.Pack());
+        }
+      });
+      std::vector<std::uint64_t> got_evict;
+      for (const ServiceKey& k : write.DueForEviction(now)) {
+        got_evict.push_back(k.Pack());
+      }
+      ASSERT_EQ(got_evict, want_evict) << "step " << step;
+    }
+    // The sequences reached every path the index must follow.
+    EXPECT_GT(write.services_evicted(), 0u);
+    EXPECT_GT(evicted_checked, 0u);
+    EXPECT_GT(write.pseudo_suppressed(), 0u);
+    EXPECT_GT(write.tracked_count(), 0u);
+  }
 }
 
 // ------------------------------------------------------------------ read side

@@ -52,7 +52,14 @@ constexpr MetricDoc kDocs[] = {
     {"censys.engine.stage.daily_us", "engine",
      "Daily stage: reinjection, CT polling, revalidation, analytics."},
     {"censys.engine.stage.commit_us", "engine",
-     "Final stage: eviction sweep and async event delivery."},
+     "Final stage: the eviction sweep (WriteSide::AdvanceTo) over the "
+     "pending-eviction list."},
+    {"censys.engine.refresh_due_us", "engine",
+     "Refresh stage: building the due set from the due-time index."},
+    {"censys.engine.snapshot_us", "engine",
+     "Daily stage: the analytics snapshot's walk of the tracked services."},
+    {"censys.predict.generate_us", "predict",
+     "Refresh stage: one GenerateCandidates call of the predictive engine."},
     {"censys.scan.candidates", "scan",
      "L4 responsive candidates emitted to the interrogation queue."},
     {"censys.scan.probes_sent", "scan", "L4 probes sent."},
