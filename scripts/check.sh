@@ -57,15 +57,17 @@ run_plain() {
 # pivot-table oracle (the commit-stream observer runs inside group commit),
 # plus the WAL crash-recovery torture loop (fault unwinding + POSIX I/O
 # under ASan), plus the commit stage's in-place diff and due-time index
-# oracles and the pinned leader-journal digest (iterators into live maps).
+# oracles and the pinned leader-journal digest (iterators into live maps),
+# plus the write side's batched removals and the recovery of an engine's
+# own WAL (every journal write goes through the staged group commit).
 SAN_TESTS=(
   "serving_test:"
   "storage_test:JournalConcurrencyTest.*:Wal*"
-  "pipeline_test:ReadSideTest.LookupsRunConcurrentlyWithIngest:EntityTest.InPlaceUpsertMatchesComputeDeltaOverACopy:DueIndexTest.*"
+  "pipeline_test:ReadSideTest.LookupsRunConcurrentlyWithIngest:EntityTest.InPlaceUpsertMatchesComputeDeltaOverACopy:DueIndexTest.*:WriteSideBatchTest.*"
   "search_test:IndexTest.*:IndexConcurrencyTest.*"
   "engines_test:WorldDeterminismTest.Parallel*:WorldDeterminismTest.GroupCommit*:WorldDeterminismTest.GoldenLeaderJournalDigest:TickReportTest.*:PivotOracleTest.*"
   "core_test:ExecutorTest.*:FaultInjectorTest.*:Crc32cTest.*"
-  "failure_injection_test:WalTortureTest.*:WalFaultTest.*:TickPipelineFaultTest.*"
+  "failure_injection_test:WalTortureTest.*:WalFaultTest.*:TickPipelineFaultTest.*:WalEngineRecoveryTest.*"
   "trace_test:"
   "replication_test:"
   "replica_router_test:"

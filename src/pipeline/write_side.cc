@@ -34,6 +34,7 @@ void WriteSide::IngestScan(const ServiceRecord& record) {
   journal_.command_role().AdoptCurrentThread();
   const core::MutexLock lock(mu_);
   IngestScanLocked(record, nullptr, nullptr);
+  if (!batching_) FlushCommitBatchLocked();
 }
 
 void WriteSide::IngestScan(const ServiceRecord& record,
@@ -43,6 +44,7 @@ void WriteSide::IngestScan(const ServiceRecord& record,
   journal_.command_role().AdoptCurrentThread();
   const core::MutexLock lock(mu_);
   IngestScanLocked(record, &service_fields, &content_hash);
+  if (!batching_) FlushCommitBatchLocked();
 }
 
 void WriteSide::IngestScanLocked(const ServiceRecord& record,
@@ -53,13 +55,7 @@ void WriteSide::IngestScanLocked(const ServiceRecord& record,
   const std::uint64_t packed = record.key.Pack();
   const std::uint32_t host = record.key.ip.value();
 
-  // A staged (unapplied) event for this host would make the delta below
-  // diff against stale state — drain the batch first. The flush decision
-  // depends only on commit sequence order, never on thread timing.
-  if (batching_ && staged_hosts_.contains(host)) {
-    revisit_flushes_.fetch_add(1, std::memory_order_relaxed);
-    FlushCommitBatchLocked();
-  }
+  FlushIfStagedLocked(host);
 
   // --- pseudo-service filtering ----------------------------------------------
   if (options_.filter_pseudo_services) {
@@ -77,18 +73,12 @@ void WriteSide::IngestScanLocked(const ServiceRecord& record,
     }
     if (counts.by_content[content_hash] > options_.pseudo_service_threshold) {
       // Host flagged: remove everything we had for it and suppress future
-      // services. Removals are journaled write-through, so drain any other
-      // staged events first to keep the WAL in sequence order.
-      if (batching_) FlushCommitBatchLocked();
+      // services.
       pseudo_hosts_.emplace(host, true);
-      const std::string entity = HostEntityId(record.key.ip);
-      if (const storage::FieldMap* state = journal_.CurrentState(entity)) {
+      if (const storage::FieldMap* state =
+              journal_.CurrentState(HostEntityId(record.key.ip))) {
         for (ServiceKey key : ServicesIn(*state, record.key.ip)) {
-          const storage::Delta delta = RemoveServiceDelta(*state, key);
-          if (!delta.empty()) {
-            journal_.Append(entity, storage::EventKind::kServiceRemoved,
-                            record.observed_at, delta);
-          }
+          StageRemovalLocked(key, record.observed_at);
           states_.erase(key.Pack());
           pseudo_suppressed_.fetch_add(1, std::memory_order_relaxed);
           pseudo_metric_.Add();
@@ -128,13 +118,9 @@ void WriteSide::IngestScanLocked(const ServiceRecord& record,
     const storage::EventKind kind = existed
                                         ? storage::EventKind::kServiceChanged
                                         : storage::EventKind::kServiceFound;
-    if (batching_) {
-      staged_events_.push_back(storage::EventJournal::PendingEvent{
-          std::move(entity), kind, record.observed_at, std::move(delta)});
-      staged_hosts_.insert(host);
-    } else {
-      journal_.Append(entity, kind, record.observed_at, delta);
-    }
+    staged_events_.push_back(storage::EventJournal::PendingEvent{
+        std::move(entity), kind, record.observed_at, std::move(delta)});
+    staged_hosts_.insert(host);
   }
   tracked_metric_.Set(static_cast<std::int64_t>(states_.size()));
 }
@@ -155,6 +141,30 @@ void WriteSide::EndCommitBatch() {
   const core::MutexLock lock(mu_);
   FlushCommitBatchLocked();
   batching_ = false;
+}
+
+void WriteSide::FlushIfStagedLocked(std::uint32_t host) {
+  // A staged (unapplied) event for this host would make the next delta
+  // diff against stale state. The flush decision depends only on commit
+  // sequence order, never on thread timing.
+  if (!staged_hosts_.contains(host)) return;
+  revisit_flushes_.fetch_add(1, std::memory_order_relaxed);
+  FlushCommitBatchLocked();
+}
+
+void WriteSide::StageRemovalLocked(ServiceKey key, Timestamp at) {
+  const std::uint32_t host = key.ip.value();
+  FlushIfStagedLocked(host);
+  std::string entity = HostEntityId(key.ip);
+  if (const storage::FieldMap* state = journal_.CurrentState(entity)) {
+    storage::Delta delta = RemoveServiceDelta(*state, key);
+    if (!delta.empty()) {
+      staged_events_.push_back(storage::EventJournal::PendingEvent{
+          std::move(entity), storage::EventKind::kServiceRemoved, at,
+          std::move(delta)});
+      staged_hosts_.insert(host);
+    }
+  }
 }
 
 void WriteSide::FlushCommitBatchLocked() {
@@ -255,9 +265,8 @@ void WriteSide::AdvanceTo(Timestamp now) {
   command_role_.AdoptCurrentThread();
   journal_.command_role().AdoptCurrentThread();
   const core::MutexLock lock(mu_);
-  // Evictions journal write-through; staged scan events must land first.
-  if (batching_) FlushCommitBatchLocked();
   for (const ServiceKey key : DueForEvictionLocked(now)) Evict(key, now);
+  if (!batching_) FlushCommitBatchLocked();
 
   // Age out the pruned list beyond the re-injection window.
   while (!pruned_.empty() &&
@@ -267,13 +276,7 @@ void WriteSide::AdvanceTo(Timestamp now) {
 }
 
 void WriteSide::Evict(ServiceKey key, Timestamp now) {
-  const std::string entity = HostEntityId(key.ip);
-  if (const storage::FieldMap* current = journal_.CurrentState(entity)) {
-    const storage::Delta delta = RemoveServiceDelta(*current, key);
-    if (!delta.empty()) {
-      journal_.Append(entity, storage::EventKind::kServiceRemoved, now, delta);
-    }
-  }
+  StageRemovalLocked(key, now);
   states_.erase(key.Pack());
   pruned_.push_back(PrunedEntry{key, now});
   BumpRevision(key.ip);

@@ -2,8 +2,10 @@
 //
 // Inbound scans are commands: the processor retrieves the entity's current
 // state, computes an update delta, and journals the resulting event (found /
-// changed / removed). Downstream processing (the secondary pivot tables,
-// standing queries) subscribes to the journal's commit stream
+// changed / removed). Every event, scan or removal, is staged and reaches
+// the journal through EventJournal::AppendBatch (see group commit below).
+// Downstream processing (the secondary pivot tables, standing queries)
+// subscribes to the journal's commit stream
 // (EventJournal::SetCommitObserver), never to the write side. The write
 // side also owns scan-state that is deliberately NOT journaled (last-seen
 // times, pending-eviction marks) and implements the eviction policy of
@@ -82,14 +84,16 @@ class WriteSide {
   void IngestFailure(ServiceKey key, Timestamp at);
 
   // --- group commit ------------------------------------------------------------
-  // Between Begin and End, journal appends from IngestScan are staged
-  // rather than written through: FlushCommitBatch (or End, or an ingest
-  // that revisits an entity with a staged event — the delta must diff
-  // against applied state) drains them with ONE journal/WAL batch append,
-  // so the journal's commit observers run inside the flush, with mu_ held:
-  // an observer must never call back into the write side. Command-thread
-  // only; batch boundaries never change journal content, only WAL write
-  // granularity.
+  // Every journal event (IngestScan's found/changed events, pseudo-host
+  // removals, evictions) is staged, and a flush drains the staged events
+  // with ONE journal/WAL batch append. An event for a host that already has
+  // a staged event flushes first, so its delta diffs against applied state
+  // (a revisit flush). Outside a Begin/End window each IngestScan and
+  // AdvanceTo call flushes before it returns; between Begin and End only
+  // FlushCommitBatch, End and revisits flush. The journal's commit
+  // observers run inside the flush, with mu_ held: an observer must never
+  // call back into the write side. Command-thread only; batch boundaries
+  // never change journal content, only WAL write granularity.
   void BeginCommitBatch();
   void FlushCommitBatch();
   void EndCommitBatch();  // flush + leave batching mode
@@ -97,7 +101,7 @@ class WriteSide {
   std::uint64_t batch_flushes() const {
     return batch_flushes_.load(std::memory_order_relaxed);
   }
-  // Flushes forced by an entity revisited while its event was staged.
+  // Flushes forced by a host revisited while its event was staged.
   std::uint64_t revisit_flushes() const {
     return revisit_flushes_.load(std::memory_order_relaxed);
   }
@@ -169,8 +173,14 @@ class WriteSide {
   void IngestScanLocked(const ServiceRecord& record,
                         const storage::FieldMap* service_fields,
                         const std::uint64_t* content_hash)
-      CENSYS_REQUIRES(mu_);
+      CENSYS_REQUIRES(mu_, journal_.command_role());
   void FlushCommitBatchLocked() CENSYS_REQUIRES(mu_);
+  // The revisit rule: flushes when `host` has a staged event.
+  void FlushIfStagedLocked(std::uint32_t host) CENSYS_REQUIRES(mu_);
+  // Stages the removal of `key`'s fields from its host entity (nothing
+  // when the journal holds none), after the revisit rule.
+  void StageRemovalLocked(ServiceKey key, Timestamp at)
+      CENSYS_REQUIRES(mu_, journal_.command_role());
   // Sets last_refreshed and files the service under it in the due index.
   void MarkRefreshed(ServiceState& state, Timestamp at) CENSYS_REQUIRES(mu_);
   std::vector<ServiceKey> DueForEvictionLocked(Timestamp now)
@@ -217,11 +227,12 @@ class WriteSide {
       CENSYS_GUARDED_BY(mu_);
   std::unordered_map<std::uint32_t, bool> pseudo_hosts_ CENSYS_GUARDED_BY(mu_);
 
-  // Group-commit staging (command thread, under mu_).
+  // Group-commit staging (command thread, under mu_). batching_ is true
+  // between Begin and End.
   bool batching_ CENSYS_GUARDED_BY(mu_) = false;
   std::vector<storage::EventJournal::PendingEvent> staged_events_
       CENSYS_GUARDED_BY(mu_);
-  // Hosts with a staged (unapplied) journal event; an ingest for one of
+  // Hosts with a staged (unapplied) journal event; a new event for one of
   // these forces a flush so its delta diffs against applied state.
   std::unordered_set<std::uint32_t> staged_hosts_ CENSYS_GUARDED_BY(mu_);
 

@@ -23,7 +23,6 @@ Follower& ReplicationGroup::AddFollower(std::string name) {
   // (snapshot cadence decides which snapshot rows exist). Shard count is
   // content-neutral and stays whatever the caller configured.
   fo.journal.snapshot_every = leader_.options().snapshot_every;
-  fo.journal.auto_tier = leader_.options().auto_tier;
   followers_.push_back(
       std::make_unique<Follower>(std::move(name), std::move(fo)));
   return *followers_.back();

@@ -124,25 +124,20 @@ void EventJournal::BindMetrics(metrics::Registry* registry) {
 
 std::uint64_t EventJournal::Append(std::string_view entity_id, EventKind kind,
                                    Timestamp at, const Delta& delta) {
-  // A crash/WAL failure on an earlier append may have left a stale staged
-  // batch behind (its pointers are long dead); drop it before staging.
-  observed_.clear();
-  const std::uint64_t seqno =
-      ApplyEvent(entity_id, kind, at, delta, /*durable=*/true,
-                 /*observe=*/true);
-  NotifyObservers();
-  return seqno;
+  std::vector<PendingEvent> events;
+  events.push_back(PendingEvent{std::string(entity_id), kind, at, delta});
+  return AppendBatch(std::move(events));
 }
 
-void EventJournal::AppendBatch(std::vector<PendingEvent> events) {
-  if (events.empty()) return;
+std::uint64_t EventJournal::AppendBatch(std::vector<PendingEvent> events) {
+  if (events.empty()) return 0;
   TRACE_SPAN_VAR(span, "storage", "journal.append_batch");
   span.SetArg("events", std::to_string(events.size()));
 
   if (wal_ != nullptr) {
     // Log the whole batch before any in-memory mutation: one contiguous
     // write, at most one fsync. The framing is per-record, so replay of a
-    // batch is indistinguishable from replay of N singleton appends. The
+    // batch is indistinguishable from replay of N one-event batches. The
     // entity/delta payloads move into the frames and back out afterwards —
     // the apply loop below still sees every event intact.
     std::vector<WalRecord> records;
@@ -170,14 +165,18 @@ void EventJournal::AppendBatch(std::vector<PendingEvent> events) {
       framed[i]->delta = std::move(records[i].delta);
     }
   }
+  // A crash or WAL failure on an earlier batch may have left a stale
+  // staged list behind (its pointers are long dead); drop it first.
   observed_.clear();
+  std::uint64_t seqno = 0;
   for (const PendingEvent& ev : events) {
-    ApplyEvent(ev.entity_id, ev.kind, ev.at, ev.delta, /*durable=*/false,
-               /*observe=*/true);
+    seqno = ApplyEvent(ev.entity_id, ev.kind, ev.at, ev.delta,
+                       /*observe=*/true);
   }
   // Deliver while `events` is still alive: the staged AppliedEvents alias
   // its entity ids and deltas.
   NotifyObservers();
+  return seqno;
 }
 
 void EventJournal::NotifyObservers() {
@@ -188,8 +187,7 @@ void EventJournal::NotifyObservers() {
 
 std::uint64_t EventJournal::ApplyEvent(std::string_view entity_id,
                                        EventKind kind, Timestamp at,
-                                       const Delta& delta, bool durable,
-                                       bool observe) {
+                                       const Delta& delta, bool observe) {
   // Whichever thread appends is the command thread: CurrentState pointer
   // holders must be on it (debug builds enforce this).
   command_role_.AdoptCurrentThread();
@@ -198,21 +196,6 @@ std::uint64_t EventJournal::ApplyEvent(std::string_view entity_id,
   EntityMeta& meta = shard.meta[std::string(entity_id)];
   if (delta.empty() && kind == EventKind::kEntityUpdated) {
     return meta.next_seqno;  // no-op refresh: nothing journaled
-  }
-
-  if (durable && wal_ != nullptr) {
-    // Log before any in-memory mutation (lock order: shard.mu -> wal mu).
-    // A failed log append leaves this journal exactly as it was: the
-    // event is either durable *and* applied, or neither.
-    WalRecord record;
-    record.entity = std::string(entity_id);
-    record.kind = static_cast<std::uint8_t>(kind);
-    record.at = at;
-    record.delta = delta;
-    std::string error;
-    if (!wal_->Append(record, &error)) {
-      throw WalIoError(error.empty() ? "wal append failed" : error);
-    }
   }
 
   const std::uint64_t seqno = meta.next_seqno++;
@@ -267,7 +250,7 @@ void EventJournal::WriteSnapshot(Shard& shard, std::string_view entity_id,
   snapshot_count_.fetch_add(1, std::memory_order_relaxed);
   snapshots_metric_.Add();
 
-  if (options_.auto_tier && meta.has_snapshot) {
+  if (meta.has_snapshot) {
     // "Censys migrates journal events and historical snapshots prior to the
     // latest snapshot from SSD-backed tables to HDD-backed tables."
     shard.table.Scan(EventKey(entity_id, 0),
@@ -612,8 +595,7 @@ std::uint64_t EventJournal::ApplyReplicated(const WalRecord& record) {
   observed_.clear();
   const std::uint64_t seqno =
       ApplyEvent(record.entity, static_cast<EventKind>(record.kind),
-                 record.at, record.delta, /*durable=*/false,
-                 /*observe=*/true);
+                 record.at, record.delta, /*observe=*/true);
   NotifyObservers();
   return seqno;
 }
@@ -684,8 +666,7 @@ RecoveryReport EventJournal::Recover() {
       checkpoint_lsn,
       [&](const WalRecord& record) {
         ApplyEvent(record.entity, static_cast<EventKind>(record.kind),
-                   record.at, record.delta, /*durable=*/false,
-                   /*observe=*/false);
+                   record.at, record.delta, /*observe=*/false);
       },
       &stats, &error);
   if (!ok) {

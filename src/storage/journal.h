@@ -9,7 +9,7 @@
 // Concurrency: entity metadata and the backing OrderedKv are partitioned
 // across N lock-striped shards keyed by a stable hash of the entity id.
 // Each shard is guarded by a shared_mutex, so CurrentState / SnapshotState /
-// ReconstructAt / History on one entity run concurrently with Append on
+// ReconstructAt / History on one entity run concurrently with AppendBatch on
 // another (and concurrently with each other on the same entity). Writers
 // take the shard lock exclusively. Aggregate counters are relaxed atomics.
 // Shard count does not change journal *content*: the same entity always
@@ -64,11 +64,11 @@ struct VersionedState {
   std::uint64_t watermark = 0;
 };
 
-// Thrown by Append when the configured WAL rejects the record (real or
-// injected I/O failure). The in-memory journal is untouched: an event is
-// either durable in the log *and* applied, or neither. Derived from
-// std::runtime_error on purpose — unlike fault::CrashException this is an
-// ordinary, catchable error.
+// Thrown by AppendBatch (and so Append) when the configured WAL rejects
+// the batch (real or injected I/O failure). The in-memory journal is
+// untouched: an event is either durable in the log *and* applied, or
+// neither. Derived from std::runtime_error on purpose — unlike
+// fault::CrashException this is an ordinary, catchable error.
 class WalIoError : public std::runtime_error {
  public:
   explicit WalIoError(const std::string& what) : std::runtime_error(what) {}
@@ -91,7 +91,7 @@ struct RecoveryReport {
   std::uint64_t recovered_events = 0;
 };
 
-// One event as applied by Append/AppendBatch/ApplyReplicated, as seen by
+// One event as applied by AppendBatch/ApplyReplicated, as seen by
 // a commit observer. Every pointer / view aliases storage owned by the
 // caller or the journal and is valid only for the duration of the
 // observer call: `post_state` points at the entity's live current-state
@@ -111,15 +111,14 @@ class EventJournal {
   struct Options {
     // Snapshot every N events per entity ("Censys regularly snapshots
     // entity state to minimize the maximum number of events that need to
-    // be retrieved for a query").
+    // be retrieved for a query"). Each snapshot migrates the entity's
+    // earlier rows to HDD.
     std::uint32_t snapshot_every = 16;
-    // Automatically migrate pre-snapshot rows to HDD on snapshot.
-    bool auto_tier = true;
     // Lock stripes. Entities hash onto shards; more shards means less
     // reader/writer contention. Content is shard-count independent.
     std::uint32_t shards = 16;
     // Write-ahead log configuration. A non-empty wal.dir enables
-    // durability: every Append is logged before it is applied, and
+    // durability: every batch is logged before it is applied, and
     // Checkpoint()/Recover() persist and restore full journal state.
     WriteAheadLog::Options wal{};
   };
@@ -130,12 +129,9 @@ class EventJournal {
   EventJournal(const EventJournal&) = delete;
   EventJournal& operator=(const EventJournal&) = delete;
 
-  // Applies `delta` to the entity's current state, journals the event, and
-  // returns its sequence number. Empty deltas with kind kEntityUpdated are
-  // skipped (no-op refreshes produce no journal rows or WAL records).
-  // With a WAL configured the record is logged *before* any in-memory
-  // mutation; a log failure throws WalIoError and leaves the journal
-  // untouched. May propagate fault::CrashException from armed crash points.
+  // A one-event AppendBatch that returns the event's sequence number (the
+  // entity's watermark for a skipped no-op). A convenience for tests and
+  // benches; the write side stages through AppendBatch.
   std::uint64_t Append(std::string_view entity_id, EventKind kind,
                        Timestamp at, const Delta& delta);
 
@@ -147,16 +143,19 @@ class EventJournal {
     Delta delta;
   };
 
-  // Group commit: journals every event in order with ONE WAL batch append
-  // (at most one fsync) instead of one log write per event. Equivalent to
-  // calling Append for each element — same seqnos, same rows, same WAL
-  // framing — so batch boundaries never change journal content or replay.
-  // A WAL error-return rejects the whole batch (WalIoError, journal
-  // untouched); an armed crash/torn-write fault may leave a record-aligned
-  // prefix durable, which recovery replays like any other tail. Takes the
-  // batch by value so staged deltas move into the WAL framing instead of
-  // being copied once per record.
-  void AppendBatch(std::vector<PendingEvent> events);
+  // The one write path into the journal (group commit): applies each
+  // event's delta to its entity's current state and journals the events in
+  // order, with ONE WAL batch append (at most one fsync) logged before any
+  // in-memory mutation. Empty deltas with kind kEntityUpdated are skipped
+  // (no-op refreshes produce no journal rows or WAL records). Every event
+  // gets its own seqno, row and WAL frame, so batch boundaries never change
+  // journal content or replay. A WAL error-return rejects the whole batch
+  // (WalIoError, journal untouched); an armed crash/torn-write fault may
+  // leave a record-aligned prefix durable, which recovery replays like any
+  // other tail. Returns the last event's seqno (0 for an empty batch).
+  // Takes the batch by value so staged deltas move into the WAL framing
+  // instead of being copied once per record.
+  std::uint64_t AppendBatch(std::vector<PendingEvent> events);
 
   // --- durability (WAL-backed journals only) ---------------------------------
   bool wal_enabled() const { return wal_ != nullptr; }
@@ -165,8 +164,8 @@ class EventJournal {
   // Durably persists the full journal state (metadata, rows, tiers,
   // counters) as a checkpoint covering the WAL's current last LSN, then
   // lets the WAL prune covered segments. Returns the covered LSN, or
-  // nullopt on failure. Must not race Append — call at a quiescent point
-  // (e.g. between engine ticks).
+  // nullopt on failure. Must not race AppendBatch — call at a quiescent
+  // point (e.g. between engine ticks).
   std::optional<std::uint64_t> Checkpoint(std::string* error);
 
   // Rebuilds the journal from disk: newest valid checkpoint (corrupt ones
@@ -174,14 +173,14 @@ class EventJournal {
   // after it. Torn/corrupt log tails are truncated, not fatal. The
   // resulting journal is byte-identical (ScanAll digest) to an uncrashed
   // journal that appended the same durable prefix. Startup-only: call on a
-  // freshly constructed journal before any Append.
+  // freshly constructed journal before any AppendBatch.
   RecoveryReport Recover();
 
   // --- replication (src/replicate/) -------------------------------------------
   // Serializes full journal state for replica bootstrap — the same payload
   // format Checkpoint() persists, produced without touching disk. `lsn` is
   // the WAL LSN the snapshot covers (the leader's last durable LSN at a
-  // quiescent point; the caller must not race Append).
+  // quiescent point; the caller must not race AppendBatch).
   std::string EncodeReplicaSnapshot(std::uint64_t lsn) const;
 
   // Follower (re-)bootstrap: resets this journal *in place* and loads
@@ -203,7 +202,7 @@ class EventJournal {
   // The journal's commit stream: the one way a view derived from the
   // journal (pivot tables, standing queries, a follower's search index)
   // learns about a commit. Observers are called in registration order,
-  // once per Append / AppendBatch and once per ApplyReplicated record (a
+  // once per AppendBatch and once per ApplyReplicated record (a
   // one-event batch), on the command thread, after every shard lock is
   // released, with the events the call applied in seqno order. The vector
   // and everything its elements point at are valid only during the call.
@@ -213,7 +212,7 @@ class EventJournal {
   using CommitObserver = std::function<void(const std::vector<AppliedEvent>&)>;
   // Registers one more observer (the name predates the list; it never
   // replaces one). Register only at a quiescent point (no concurrent
-  // Append).
+  // AppendBatch).
   void SetCommitObserver(CommitObserver observer) {
     observers_.push_back(std::move(observer));
   }
@@ -304,7 +303,7 @@ class EventJournal {
   }
 
   // The command-thread capability backing CurrentState's pointer contract.
-  // Append (re-)stamps the command thread in debug builds.
+  // AppendBatch (re-)stamps the command thread in debug builds.
   const core::ThreadRole& command_role() const { return command_role_; }
 
  private:
@@ -335,17 +334,17 @@ class EventJournal {
                      EntityMeta& meta, Timestamp at)
       CENSYS_REQUIRES(shard.mu);
 
-  // The shared body of Append and WAL replay: applies and journals one
-  // event. `durable` selects whether the record is WAL-logged first
-  // (replay must not re-log what it reads from the log); `observe` stages
-  // the event for the commit observers (live appends and replicated
-  // records; Recover() replay applies with observe=false).
+  // The shared body of AppendBatch, ApplyReplicated and WAL replay:
+  // applies and journals one event, never logging it (AppendBatch logs
+  // the whole batch first, so no WAL lock is ever taken under a shard
+  // lock). `observe` stages the event for the commit observers (live
+  // batches and replicated records; Recover() replay applies with
+  // observe=false).
   std::uint64_t ApplyEvent(std::string_view entity_id, EventKind kind,
-                           Timestamp at, const Delta& delta, bool durable,
-                           bool observe);
+                           Timestamp at, const Delta& delta, bool observe);
 
   // Delivers (and clears) the staged observed_ batch. Command thread
-  // only; called by Append/AppendBatch/ApplyReplicated after their shard
+  // only; called by AppendBatch/ApplyReplicated after their shard
   // locks drop.
   void NotifyObservers();
 
@@ -360,7 +359,7 @@ class EventJournal {
   core::ThreadRole command_role_;
 
   // Commit observation: both are touched only on the command thread
-  // (Append/AppendBatch/ApplyReplicated callers), so they need no lock of
+  // (AppendBatch/ApplyReplicated callers), so they need no lock of
   // their own.
   std::vector<CommitObserver> observers_;
   std::vector<AppliedEvent> observed_;

@@ -369,72 +369,6 @@ bool WriteAheadLog::RotateLocked(std::string* error) {
   return true;
 }
 
-bool WriteAheadLog::Append(WalRecord& record, std::string* error) {
-  TRACE_SPAN("storage", "wal.append");
-  const core::MutexLock lock(mu_);
-  if (!opened_ && !OpenLocked(error)) return false;
-
-  record.lsn = next_lsn_.load(std::memory_order_relaxed);
-  std::string frame;
-  AppendFrame(frame, EncodeWalPayload(record));
-
-  if (const auto fault = fault::Hit("storage.wal.append")) {
-    switch (fault->mode) {
-      case fault::Mode::kErrorReturn:
-      default:
-        SetError(error, "wal append: injected failure");
-        return false;
-      case fault::Mode::kCrash:
-        throw fault::CrashException{"storage.wal.append"};
-      case fault::Mode::kTornWrite: {
-        // A prefix of the frame reaches the medium, then the process
-        // dies. Recovery must drop this record.
-        const std::size_t torn = std::clamp<std::size_t>(
-            static_cast<std::size_t>(fault->tear_frac *
-                                     static_cast<double>(frame.size())),
-            1, frame.size() - 1);
-        std::string ignored;
-        WriteAllLocked(frame.data(), torn, &ignored);
-        throw fault::CrashException{"storage.wal.append"};
-      }
-      case fault::Mode::kBitFlip: {
-        // Silent corruption on the way to the medium; CRC validation
-        // catches it at recovery time.
-        const std::size_t bit = fault->bit % (frame.size() * 8);
-        frame[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-        break;
-      }
-    }
-  }
-
-  if (segments_.back().bytes > 0 &&
-      segments_.back().bytes + frame.size() > options_.segment_bytes) {
-    if (!RotateLocked(error)) return false;
-  }
-  if (!WriteAllLocked(frame.data(), frame.size(), error)) return false;
-  Segment& segment = segments_.back();
-  segment.frames.push_back({record.lsn, segment.bytes});
-  segment.bytes += frame.size();
-  if (options_.fsync_each) {
-    if (!SyncLocked(error)) {
-      // The bytes may or may not be durable; withdraw them so the
-      // in-memory journal (which will not apply this event) and the log
-      // cannot diverge.
-      segment.TruncateTo(segment.bytes - frame.size());
-      ::ftruncate(fd_, static_cast<off_t>(segment.bytes));
-      ::lseek(fd_, static_cast<off_t>(segment.bytes), SEEK_SET);
-      return false;
-    }
-  }
-
-  next_lsn_.fetch_add(1, std::memory_order_relaxed);
-  appended_records_.fetch_add(1, std::memory_order_relaxed);
-  appended_bytes_.fetch_add(frame.size(), std::memory_order_relaxed);
-  appends_metric_.Add();
-  bytes_metric_.Add(frame.size());
-  return true;
-}
-
 bool WriteAheadLog::AppendBatch(std::vector<WalRecord>& records,
                                 std::string* error) {
   if (records.empty()) return true;
@@ -443,11 +377,11 @@ bool WriteAheadLog::AppendBatch(std::vector<WalRecord>& records,
   const core::MutexLock lock(mu_);
   if (!opened_ && !OpenLocked(error)) return false;
 
-  // Frame the whole batch first. Fault points fire per record, exactly as
-  // they would for N serial Appends: an error-return rejects the batch
-  // before a single byte is written (nothing durable, nothing applied); a
-  // crash/torn-write loses at most the batch's buffered tail, which
-  // recovery truncates back to a record boundary.
+  // Frame the whole batch first. Fault points fire once per record: an
+  // error-return rejects the batch before a single byte is written
+  // (nothing durable, nothing applied); a crash/torn-write loses at most
+  // the batch's buffered tail, which recovery truncates back to a record
+  // boundary.
   const std::uint64_t first_lsn = next_lsn_.load(std::memory_order_relaxed);
   std::string buffer;
   std::vector<std::uint64_t> frame_starts;  // offsets within `buffer`
@@ -500,6 +434,9 @@ bool WriteAheadLog::AppendBatch(std::vector<WalRecord>& records,
   if (options_.fsync_each) {
     // One fsync for the whole batch — the point of group commit.
     if (!SyncLocked(error)) {
+      // The bytes may or may not be durable; withdraw them so the
+      // in-memory journal (which will not apply the batch) and the log
+      // cannot diverge.
       segment.TruncateTo(segment.bytes - buffer.size());
       ::ftruncate(fd_, static_cast<off_t>(segment.bytes));
       ::lseek(fd_, static_cast<off_t>(segment.bytes), SEEK_SET);
@@ -546,9 +483,8 @@ bool WriteAheadLog::Replay(
     }
   }
   // The scan itself runs unlocked: recovery is startup-only (it must not
-  // race Append), and the journal's visitor re-enters the shard locks —
-  // holding mu_ across it would invert the shard-lock -> wal-lock order
-  // the append path establishes.
+  // race AppendBatch), and the journal's visitor takes its shard locks,
+  // which never nest with this one.
   ReplayStats local;
   ReplayStats* out = stats != nullptr ? stats : &local;
   for (std::size_t i = skip_below; i < indexes.size(); ++i) {

@@ -24,8 +24,9 @@
 //   varint lsn | u8 kind | varint at_minutes | lp(entity_id)
 //   | lp(delta_encoding)
 //
-// LSNs are assigned contiguously from 1 by Append; a checkpoint file
-// carries the LSN it covers, so replay starts strictly after it.
+// LSNs are assigned contiguously from 1 by AppendBatch, the one writer of
+// records; a checkpoint file carries the LSN it covers, so replay starts
+// strictly after it.
 //
 // Every segment keeps an in-memory LSN -> byte-offset index of its whole
 // frames, built as frames are appended and rebuilt by Open()'s recovery
@@ -40,11 +41,12 @@
 // Torn writes and crashes throw fault::CrashException, the SIGKILL
 // stand-in the torture tests catch.
 //
-// Concurrency: one mutex serializes Append/Sync/rotation, LSN assignment
-// and the segment indexes; journal shards may append concurrently.
-// Replay/Open are startup-only and must not race appends. ReadTail locates
-// its frames under the mutex and reads them outside it, so it may run
-// concurrently with appends. Counters are relaxed atomics.
+// Concurrency: one mutex serializes AppendBatch/Sync/rotation, LSN
+// assignment and the segment indexes; the journal calls AppendBatch with
+// none of its own locks held. Replay/Open are startup-only and must not
+// race appends. ReadTail locates its frames under the mutex and reads them
+// outside it, so it may run concurrently with appends. Counters are
+// relaxed atomics.
 #pragma once
 
 #include <atomic>
@@ -110,22 +112,19 @@ class WriteAheadLog {
   // Scans existing segments (validating every record), truncates any
   // torn/corrupt tail so the log ends on a record boundary, and positions
   // the append cursor. Creates the directory and segment 0 when empty.
-  // Idempotent; Append auto-opens on first use.
+  // Idempotent; AppendBatch auto-opens on first use.
   bool Open(std::string* error);
 
-  // Appends one record, assigning its LSN. Returns false on (real or
-  // injected) I/O failure — nothing is considered durable. May throw
-  // fault::CrashException at the armed crash points.
-  bool Append(WalRecord& record, std::string* error);
-
-  // Group commit: appends every record as one contiguous framed write with
-  // at most one fsync, assigning contiguous LSNs in order. An error-return
-  // failure (real or injected, on any record) rejects the whole batch with
+  // The one way records reach the log (group commit): appends every record
+  // as one contiguous framed write with at most one fsync, assigning
+  // contiguous LSNs in order. Returns false on (real or injected) I/O
+  // failure: an error-return on any record rejects the whole batch with
   // nothing written — recovery then sees the log exactly as before the
-  // batch. Armed crash/torn-write faults throw after at most a prefix of
-  // the batch buffer reached the medium; recovery truncates at the tear,
-  // so the durable prefix is a record-aligned prefix of the batch. Record
-  // framing is identical to Append's, so batching never changes replay.
+  // batch. Armed crash/torn-write faults throw fault::CrashException after
+  // at most a prefix of the batch buffer reached the medium; recovery
+  // truncates at the tear, so the durable prefix is a record-aligned prefix
+  // of the batch. Every record is its own frame, so N one-record batches
+  // and one N-record batch write the same bytes and replay the same.
   bool AppendBatch(std::vector<WalRecord>& records, std::string* error);
 
   // fsyncs the active segment.
@@ -146,10 +145,10 @@ class WriteAheadLog {
   // *last_lsn to the LSN of the last one (untouched when none). At most
   // `max_records` frames are read (0 = unbounded). The segment indexes
   // locate the requested frames, which are pread and CRC-checked alone and
-  // never decoded: every indexed frame was encoded by Append or decoded by
-  // Open's scan. Frames below the window are neither read nor re-validated,
-  // and bytes past the last whole appended frame (a writer's half-written
-  // frame) are never looked at. Unlike Open/Replay this NEVER mutates the
+  // never decoded: every indexed frame was encoded by AppendBatch or
+  // decoded by Open's scan. Frames below the window are neither read nor
+  // re-validated, and bytes past the last whole appended frame (a writer's
+  // half-written frame) are never looked at. Unlike Open/Replay this NEVER mutates the
   // log — a frame that fails its check just ends the read after the last
   // whole frame. Returns false only on unrecoverable I/O errors (e.g. a
   // segment pruned mid-read by a checkpoint; the caller re-checks
@@ -196,7 +195,7 @@ class WriteAheadLog {
   std::uint64_t appended_records() const {
     return appended_records_.load(std::memory_order_relaxed);
   }
-  // Group appends (AppendBatch calls that hit the medium).
+  // AppendBatch calls that hit the medium: every WAL write.
   std::uint64_t batch_appends() const {
     return batch_appends_.load(std::memory_order_relaxed);
   }

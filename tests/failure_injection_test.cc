@@ -123,6 +123,52 @@ TEST(FailureInjectionTest, EverythingAtOnceStaysDeterministic) {
   EXPECT_EQ(first, run_keys());  // chaos, but reproducible chaos
 }
 
+using test::ScratchDir;
+
+std::uint64_t JournalDigest(const storage::EventJournal& journal) {
+  std::uint64_t digest = 1469598103934665603ull;
+  journal.ScanAll([&](std::string_view key, std::string_view value) {
+    digest = (digest ^ Fnv1a64(key)) * 1099511628211ull;
+    digest = (digest ^ Fnv1a64(value)) * 1099511628211ull;
+    return true;
+  });
+  return digest;
+}
+
+// ------------------------------------------------------- engine recovery
+//
+// The engine's own WAL, not a scripted one: warm start, pseudo-host
+// removals and evictions all reach it through the write side's staged
+// commits, and a fresh journal's Recover() must equal the live journal
+// byte for byte, whether every commit flushes or 64 share a flush.
+TEST(WalEngineRecoveryTest, RecoveredJournalEqualsTheLiveOne) {
+  for (const std::uint32_t commit_batch : {1u, 64u}) {
+    SCOPED_TRACE("commit_batch=" + std::to_string(commit_batch));
+    WorldConfig cfg = BaseWorld();
+    cfg.universe.target_services = 3000;
+    cfg.censys.threads = 2;
+    cfg.censys.commit_batch = commit_batch;
+    cfg.censys.journal_options.wal.dir =
+        ScratchDir("engine_recovery_" + std::to_string(commit_batch));
+    ASSERT_TRUE(cfg.censys.warm_start);
+    World world(cfg);
+    world.Bootstrap();
+    const storage::EventJournal& live = world.censys().journal();
+    EXPECT_GT(live.event_count(), 0u);  // the warm start journaled
+    world.RunForDays(4);
+    EXPECT_GT(world.censys().write_side().pseudo_suppressed(), 0u);
+    EXPECT_GT(world.censys().write_side().services_evicted(), 0u);
+
+    storage::EventJournal recovered(cfg.censys.journal_options);
+    const storage::RecoveryReport report = recovered.Recover();
+    ASSERT_TRUE(report.ok) << report.error;
+    EXPECT_EQ(report.truncated_bytes + report.corrupt_records, 0u);
+    EXPECT_EQ(report.replayed_records, live.event_count());
+    EXPECT_EQ(recovered.event_count(), live.event_count());
+    EXPECT_EQ(JournalDigest(recovered), JournalDigest(live));
+  }
+}
+
 #if defined(CENSYSIM_FAULT_INJECTION)
 
 // ------------------------------------------------------- storage faults
@@ -136,8 +182,6 @@ TEST(FailureInjectionTest, EverythingAtOnceStaysDeterministic) {
 
 constexpr int kTortureOps = 300;
 constexpr int kTortureEntities = 5;
-
-using test::ScratchDir;
 
 storage::EventJournal::Options DurableOptions(const std::string& dir) {
   storage::EventJournal::Options options;
@@ -169,16 +213,6 @@ int AppliedOps(const storage::EventJournal& journal) {
     total += journal.Watermark("host/" + std::to_string(e));
   }
   return static_cast<int>(total);
-}
-
-std::uint64_t JournalDigest(const storage::EventJournal& journal) {
-  std::uint64_t digest = 1469598103934665603ull;
-  journal.ScanAll([&](std::string_view key, std::string_view value) {
-    digest = (digest ^ Fnv1a64(key)) * 1099511628211ull;
-    digest = (digest ^ Fnv1a64(value)) * 1099511628211ull;
-    return true;
-  });
-  return digest;
 }
 
 TEST(WalFaultTest, DiskFullSurfacesAsErrorNotCorruption) {

@@ -307,6 +307,61 @@ TEST_F(WriteSideTest, PseudoHostSuppressionPublishesEachRemoval) {
   EXPECT_EQ(distinct.size(), removed.size());
 }
 
+// Removals stage like scans and obey the same revisit rule: inside an
+// open batch, a host with a staged scan is evicted from and then flagged as
+// a pseudo-host, and every event for it flushes what was staged first. The
+// journal equals the one the same calls write outside a batch.
+TEST(WriteSideBatchTest, RemovalsInABatchJournalLikeUnbatchedCalls) {
+  const IPv4Address a(5);
+  const IPv4Address b(6);
+  const auto run = [&](bool batched, std::uint64_t* revisits) {
+    storage::EventJournal journal;
+    WriteSide::Options options;
+    options.pseudo_service_threshold = 3;
+    WriteSide write(journal, options);
+    write.IngestScan(HttpRecord(a, 80, Timestamp{0}, "Site 80"));
+    write.IngestFailure({a, 80, Transport::kTcp}, Timestamp{60});
+
+    const Timestamp now = Timestamp::FromHours(80);
+    if (batched) write.BeginCommitBatch();
+    write.IngestScan(HttpRecord(b, 80, now, "Other host"));
+    write.IngestScan(HttpRecord(a, 81, now, "Canned"));  // staged for A
+    write.AdvanceTo(now);  // evicts A:80: revisit flush
+    for (Port port = 82; port <= 84; ++port) {
+      // Each scan revisits A; port 84, the fourth canned page, flags A,
+      // and the removals of 81, 82 and 83 revisit A twice more.
+      write.IngestScan(HttpRecord(a, port, now, "Canned"));
+    }
+    if (batched) write.EndCommitBatch();
+
+    EXPECT_TRUE(write.IsPseudoFlagged(a));
+    EXPECT_EQ(write.services_evicted(), 1u);
+    std::size_t removals = 0;
+    for (const storage::JournalEvent& event : journal.History("0.0.0.5")) {
+      removals += event.kind == storage::EventKind::kServiceRemoved ? 1 : 0;
+    }
+    EXPECT_EQ(removals, 4u);
+    *revisits = write.revisit_flushes();
+    std::vector<std::pair<std::string, std::string>> rows;
+    journal.ScanAll([&](std::string_view key, std::string_view value) {
+      rows.emplace_back(key, value);
+      return true;
+    });
+    return rows;
+  };
+
+  std::uint64_t batched_revisits = 0;
+  std::uint64_t unbatched_revisits = 0;
+  const auto batched = run(true, &batched_revisits);
+  const auto unbatched = run(false, &unbatched_revisits);
+  EXPECT_EQ(batched, unbatched);
+  // Batched: the eviction, scans 82-84 and two pseudo removals. Outside a
+  // batch every call flushes before it returns, so only the removal loop
+  // revisits.
+  EXPECT_EQ(batched_revisits, 6u);
+  EXPECT_EQ(unbatched_revisits, 2u);
+}
+
 TEST_F(WriteSideTest, DiverseServicesOnOneHostAreNotPseudo) {
   const IPv4Address host(50);
   for (Port port = 8000; port < 8030; ++port) {

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -538,6 +539,14 @@ WalRecord MakeRecord(const std::string& entity, int i) {
   return record;
 }
 
+// Appends `record` as a one-record batch and copies back the LSN it got.
+bool AppendOne(WriteAheadLog& wal, WalRecord& record, std::string* error) {
+  std::vector<WalRecord> batch{record};
+  const bool ok = wal.AppendBatch(batch, error);
+  record.lsn = batch.front().lsn;
+  return ok;
+}
+
 TEST(WalCodecTest, PayloadRoundTrips) {
   WalRecord record;
   record.lsn = 123456789;
@@ -636,7 +645,7 @@ TEST(WalFrameTest, GoldenBytesOfWalCheckpointAndSegmentFiles) {
     record.at = Timestamp{987654};
     record.delta.ops.push_back({FieldOp::Kind::kSet, "banner", "SSH-2.0"});
     record.delta.ops.push_back({FieldOp::Kind::kRemove, "stale", ""});
-    ASSERT_TRUE(wal.Append(record, &error)) << error;
+    ASSERT_TRUE(AppendOne(wal, record, &error)) << error;
     ASSERT_TRUE(wal.WriteCheckpoint(1, "checkpoint-state", &error)) << error;
   }
   EXPECT_EQ(FileBytes(dir + "/wal-00000000.log"),
@@ -673,7 +682,7 @@ TEST(WalTest, AppendsAssignContiguousLsnsAndReplayInOrder) {
     std::string error;
     for (int i = 0; i < 20; ++i) {
       WalRecord record = MakeRecord("host/a", i);
-      ASSERT_TRUE(wal.Append(record, &error)) << error;
+      ASSERT_TRUE(AppendOne(wal, record, &error)) << error;
       EXPECT_EQ(record.lsn, static_cast<std::uint64_t>(i + 1));
     }
     EXPECT_EQ(wal.last_lsn(), 20u);
@@ -708,7 +717,7 @@ TEST(WalTest, RotationSplitsSegmentsAndReplaySpansThem) {
   std::string error;
   for (int i = 0; i < 64; ++i) {
     WalRecord record = MakeRecord("host/rot", i);
-    ASSERT_TRUE(wal.Append(record, &error)) << error;
+    ASSERT_TRUE(AppendOne(wal, record, &error)) << error;
   }
   EXPECT_GT(wal.rotations(), 2u);
   std::size_t segment_files = 0;
@@ -731,7 +740,7 @@ std::string FillSegment(const std::string& dir, int n) {
   std::string error;
   for (int i = 0; i < n; ++i) {
     WalRecord record = MakeRecord("host/t", i);
-    EXPECT_TRUE(wal.Append(record, &error)) << error;
+    EXPECT_TRUE(AppendOne(wal, record, &error)) << error;
   }
   return (std::filesystem::path(dir) / "wal-00000000.log").string();
 }
@@ -760,7 +769,7 @@ TEST(WalTest, TornTailIsTruncatedNotFatal) {
 
   // Appends continue on the clean boundary.
   WalRecord record = MakeRecord("host/t", 10);
-  ASSERT_TRUE(wal.Append(record, &error)) << error;
+  ASSERT_TRUE(AppendOne(wal, record, &error)) << error;
   EXPECT_EQ(record.lsn, 11u);
 }
 
@@ -918,22 +927,44 @@ TEST(WalTailTest, ReadCostDoesNotGrowWithSegmentSize) {
             frame_bytes);
 }
 
+// Every segment file of the log under `dir`, concatenated in log order.
+std::string LogBytes(const std::string& dir) {
+  std::vector<std::string> segments;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("wal-", 0) == 0) segments.push_back(entry.path().string());
+  }
+  std::sort(segments.begin(), segments.end());  // zero-padded indexes
+  std::string bytes;
+  for (const std::string& segment : segments) bytes += FileBytes(segment);
+  return bytes;
+}
+
 TEST(WalTailTest, MatchesReplayAcrossRotationReopenAndPruning) {
   const std::string dir = ScratchDir("tail_vs_replay");
+  std::vector<WalRecord> records;
+  for (int i = 0; i < 120; ++i) {
+    records.push_back(MakeRecord("host/" + std::to_string(i % 4), i));
+  }
   {
     WriteAheadLog wal({.dir = dir, .segment_bytes = 512});
     std::string error;
-    for (int i = 0; i < 60; ++i) {
-      WalRecord record = MakeRecord("host/" + std::to_string(i % 4), i);
-      ASSERT_TRUE(wal.Append(record, &error)) << error;
+    for (WalRecord record : records) {
+      ASSERT_TRUE(AppendOne(wal, record, &error)) << error;
     }
-    std::vector<WalRecord> batch;
-    for (int i = 60; i < 120; ++i) {
-      batch.push_back(MakeRecord("host/" + std::to_string(i % 4), i));
-    }
-    ASSERT_TRUE(wal.AppendBatch(batch, &error)) << error;
     ASSERT_GT(wal.rotations(), 3u);
     ExpectTailMatchesReplay(wal, "live");
+
+    // One 120-record batch writes the same frames (rotation only cuts the
+    // log between batches) and replays the same records.
+    const std::string batched_dir = ScratchDir("tail_vs_replay_batched");
+    WriteAheadLog batched({.dir = batched_dir, .segment_bytes = 512});
+    std::vector<WalRecord> batch = records;
+    ASSERT_TRUE(batched.AppendBatch(batch, &error)) << error;
+    EXPECT_EQ(batched.rotations(), 0u);
+    EXPECT_EQ(LogBytes(batched_dir), LogBytes(dir));
+    ExpectSameRecords(ReplayedTail(batched, 0), ReplayedTail(wal, 0),
+                      "one batch against one-record batches");
   }
 
   // A fresh instance rebuilds every segment's index from its recovery scan.
@@ -946,7 +977,7 @@ TEST(WalTailTest, MatchesReplayAcrossRotationReopenAndPruning) {
   // Appends after the reopen extend the rebuilt index.
   for (int i = 120; i < 140; ++i) {
     WalRecord record = MakeRecord("host/x", i);
-    ASSERT_TRUE(wal.Append(record, &error)) << error;
+    ASSERT_TRUE(AppendOne(wal, record, &error)) << error;
   }
   ExpectTailMatchesReplay(wal, "reopened+appended");
 
@@ -964,7 +995,7 @@ TEST(WalTailTest, HalfWrittenFinalFrameEndsTheRead) {
   std::string error;
   for (int i = 0; i < 10; ++i) {
     WalRecord record = MakeRecord("host/t", i);
-    ASSERT_TRUE(wal.Append(record, &error)) << error;
+    ASSERT_TRUE(AppendOne(wal, record, &error)) << error;
   }
   const std::string segment =
       (std::filesystem::path(dir) / "wal-00000000.log").string();
@@ -994,7 +1025,7 @@ TEST(WalTailTest, ReadBitFlipStopsAtTheBadFrame) {
   std::string error;
   for (int i = 0; i < 40; ++i) {
     WalRecord record = MakeRecord("host/f", i);
-    ASSERT_TRUE(wal.Append(record, &error)) << error;
+    ASSERT_TRUE(AppendOne(wal, record, &error)) << error;
   }
   const auto clean = ReplayedTail(wal, 10);
   ASSERT_EQ(clean.size(), 30u);
@@ -1016,6 +1047,69 @@ TEST(WalTailTest, ReadBitFlipStopsAtTheBadFrame) {
 
   // The flip was in memory only: the next read ships the whole tail.
   ExpectSameRecords(Tail(wal, 10), clean, "after the flip");
+}
+
+// Every append fault mode, met by a one-record batch (the log's only kind
+// of write is a batch). Whatever the fault leaves on disk, reopening the
+// log gets back exactly the records appended before it.
+TEST(WalFaultModesTest, OneRecordBatchMeetsEveryAppendFault) {
+  const std::pair<fault::Mode, const char*> modes[] = {
+      {fault::Mode::kErrorReturn, "error"},
+      {fault::Mode::kCrash, "crash"},
+      {fault::Mode::kTornWrite, "torn"},
+      {fault::Mode::kBitFlip, "bitflip"}};
+  for (const auto& [mode, name] : modes) {
+    SCOPED_TRACE(name);
+    const std::string dir = ScratchDir(std::string("append_fault_") + name);
+    std::string error;
+    std::string clean;
+    {
+      WriteAheadLog wal({.dir = dir});
+      for (int i = 0; i < 3; ++i) {
+        WalRecord record = MakeRecord("host/f", i);
+        ASSERT_TRUE(AppendOne(wal, record, &error)) << error;
+      }
+      clean = LogBytes(dir);
+      fault::ScopedPlan plan(1, {{.point = "storage.wal.append",
+                                  .mode = mode}});
+      WalRecord record = MakeRecord("host/f", 3);
+      bool ok = false;
+      bool crashed = false;
+      try {
+        ok = AppendOne(wal, record, &error);
+      } catch (const fault::CrashException&) {
+        crashed = true;
+      }
+      switch (mode) {
+        case fault::Mode::kErrorReturn:
+          // Rejected with nothing written and no LSN spent.
+          EXPECT_FALSE(ok);
+          EXPECT_FALSE(crashed);
+          EXPECT_EQ(wal.last_lsn(), 3u);
+          EXPECT_EQ(LogBytes(dir), clean);
+          break;
+        case fault::Mode::kCrash:
+          EXPECT_TRUE(crashed);
+          EXPECT_EQ(LogBytes(dir), clean);
+          break;
+        case fault::Mode::kTornWrite:
+          // A prefix of the frame reached the medium before the death.
+          EXPECT_TRUE(crashed);
+          EXPECT_GT(LogBytes(dir).size(), clean.size());
+          break;
+        default:  // kBitFlip: silent until recovery checks the CRC
+          EXPECT_TRUE(ok);
+          EXPECT_FALSE(crashed);
+          EXPECT_EQ(record.lsn, 4u);
+          break;
+      }
+    }
+    WriteAheadLog reopened({.dir = dir});
+    ASSERT_TRUE(reopened.Open(&error)) << error;
+    EXPECT_EQ(ReplayedTail(reopened, 0).size(), 3u);
+    EXPECT_EQ(reopened.last_lsn(), 3u);
+    EXPECT_EQ(LogBytes(dir), clean);
+  }
 }
 #endif  // CENSYSIM_FAULT_INJECTION
 

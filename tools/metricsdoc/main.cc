@@ -211,8 +211,8 @@ constexpr MetricDoc kDocs[] = {
      "Bytes written into journaled event deltas."},
     {"censys.storage.wal.appends", "storage", "WAL records appended."},
     {"censys.storage.wal.batch_appends", "storage",
-     "Group-commit batches appended (one buffered write, at most one "
-     "fsync, per batch)."},
+     "WAL writes: group-commit batches appended, one record or many (one "
+     "buffered write, at most one fsync, per batch)."},
     {"censys.storage.wal.bytes", "storage", "WAL bytes appended (framed)."},
     {"censys.storage.wal.fsyncs", "storage", "WAL fsync calls."},
     {"censys.storage.wal.rotations", "storage", "WAL segment rotations."},
