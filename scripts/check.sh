@@ -59,13 +59,15 @@ run_plain() {
 # under ASan), plus the commit stage's in-place diff and due-time index
 # oracles and the pinned leader-journal digest (iterators into live maps),
 # plus the write side's batched removals and the recovery of an engine's
-# own WAL (every journal write goes through the staged group commit).
+# own WAL (every journal write goes through the staged group commit),
+# plus the worker-side diff (workers read host state under the journal's
+# shard reader locks while the command thread applies).
 SAN_TESTS=(
   "serving_test:"
   "storage_test:JournalConcurrencyTest.*:Wal*"
   "pipeline_test:ReadSideTest.LookupsRunConcurrentlyWithIngest:EntityTest.InPlaceUpsertMatchesComputeDeltaOverACopy:DueIndexTest.*:WriteSideBatchTest.*"
   "search_test:IndexTest.*:IndexConcurrencyTest.*"
-  "engines_test:WorldDeterminismTest.Parallel*:WorldDeterminismTest.GroupCommit*:WorldDeterminismTest.GoldenLeaderJournalDigest:TickReportTest.*:PivotOracleTest.*"
+  "engines_test:WorldDeterminismTest.Parallel*:WorldDeterminismTest.GroupCommit*:WorldDeterminismTest.GoldenLeaderJournalDigest:TickReportTest.*:PivotOracleTest.*:WorkerDiffTest.*"
   "core_test:ExecutorTest.*:FaultInjectorTest.*:Crc32cTest.*"
   "failure_injection_test:WalTortureTest.*:WalFaultTest.*:TickPipelineFaultTest.*:WalEngineRecoveryTest.*"
   "trace_test:"

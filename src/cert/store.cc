@@ -3,29 +3,31 @@
 namespace censys::cert {
 
 CertificateRecord& CertificateStore::Upsert(const Certificate& certificate,
+                                            std::string_view sha256_hex,
                                             Timestamp now) {
-  const std::string fingerprint = certificate.Sha256Hex();
-  auto [it, inserted] = records_.try_emplace(fingerprint);
+  auto it = records_.lower_bound(sha256_hex);
+  if (it != records_.end() && it->first == sha256_hex) return it->second;
+  it = records_.emplace_hint(it, std::string(sha256_hex), CertificateRecord{});
   CertificateRecord& record = it->second;
-  if (inserted) {
-    record.certificate = certificate;
-    record.first_seen = now;
-    record.lints = Lint(certificate);
-    record.status = Validate(certificate, roots_, crls_, now);
-    record.last_validated = now;
-  }
+  record.certificate = certificate;
+  record.first_seen = now;
+  record.lints = Lint(certificate);
+  record.status = Validate(certificate, roots_, crls_, now);
+  record.last_validated = now;
   return record;
 }
 
 void CertificateStore::ObserveFromCt(const CtEntry& entry, Timestamp now) {
-  CertificateRecord& record = Upsert(entry.certificate, now);
+  CertificateRecord& record =
+      Upsert(entry.certificate, entry.certificate.Sha256Hex(), now);
   record.seen_in_ct = true;
 }
 
 void CertificateStore::ObserveFromScan(const Certificate& certificate,
+                                       std::string_view sha256_hex,
                                        ServiceKey presented_by,
                                        Timestamp now) {
-  CertificateRecord& record = Upsert(certificate, now);
+  CertificateRecord& record = Upsert(certificate, sha256_hex, now);
   record.seen_in_scan = true;
   record.presented_by.insert(presented_by.Pack());
 }

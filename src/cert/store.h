@@ -15,6 +15,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "cert/ct.h"
 #include "cert/x509.h"
@@ -42,8 +43,11 @@ class CertificateStore {
 
   // Ingests a certificate observed in a CT log.
   void ObserveFromCt(const CtEntry& entry, Timestamp now);
-  // Ingests a certificate presented during a TLS handshake.
-  void ObserveFromScan(const Certificate& certificate, ServiceKey presented_by,
+  // Ingests a certificate presented during a TLS handshake; `sha256_hex` is
+  // its fingerprint, certificate.Sha256Hex(), which the interrogating
+  // thread already computed.
+  void ObserveFromScan(const Certificate& certificate,
+                       std::string_view sha256_hex, ServiceKey presented_by,
                        Timestamp now);
 
   // Re-validates every certificate (status + revocation) — run daily
@@ -71,7 +75,8 @@ class CertificateStore {
   Stats ComputeStats() const;
 
  private:
-  CertificateRecord& Upsert(const Certificate& certificate, Timestamp now);
+  CertificateRecord& Upsert(const Certificate& certificate,
+                            std::string_view sha256_hex, Timestamp now);
 
   const RootStore& roots_;
   const CrlStore& crls_;

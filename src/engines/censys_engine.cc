@@ -71,9 +71,10 @@ CensysEngine::CensysEngine(simnet::Internet& net, cert::CtLog& ct_log,
   scheduler_ = std::make_unique<scan::ScanScheduler>(*discovery_);
   interrogator_ = std::make_unique<interrogate::Interrogator>(net_, profile_);
   interrogator_->SetCertificateObserver(
-      [this](const cert::Certificate& certificate, ServiceKey presented_by,
-             Timestamp at) {
-        cert_store_.ObserveFromScan(certificate, presented_by, at);
+      [this](const interrogate::PresentedCertificate& presented,
+             ServiceKey presented_by, Timestamp at) {
+        cert_store_.ObserveFromScan(presented.certificate, presented.sha256_hex,
+                                    presented_by, at);
       });
   predictive_ = std::make_unique<predict::PredictiveEngine>(net_.blocks(),
                                                             config_.seed);
@@ -139,6 +140,7 @@ CensysEngine::CensysEngine(simnet::Internet& net, cert::CtLog& ct_log,
   discovery_->BindMetrics(&metrics_);
   scheduler_->BindMetrics(&metrics_);
   interrogator_->BindMetrics(&metrics_);
+  predictive_->BindMetrics(&metrics_);
   journal_.BindMetrics(&metrics_);
   write_side_->BindMetrics(&metrics_);
   read_side_->BindMetrics(&metrics_);
@@ -297,11 +299,11 @@ void CensysEngine::DrainScanQueue() {
       job.pop = next_pop_;
       next_pop_ = (next_pop_ + 1) % config_.pop_count;
       job.udp_hint = candidate.udp_protocol;
-      // Ingests for flagged pseudo hosts are suppressed before the entity
-      // projection is ever read; skip computing it in the worker. Safe even
-      // if the flag races a later wave: the unprojected commit path falls
-      // back to computing the same fields lazily.
-      job.project = !write_side_->IsPseudoFlagged(candidate.key.ip);
+      // Ingests for flagged pseudo hosts are suppressed before a prepared
+      // ingest is ever read; skip preparing it in the worker. Safe even
+      // if the flag races a later wave: the unprepared commit path
+      // computes the same fields and delta on the command thread.
+      job.prepare = !write_side_->IsPseudoFlagged(candidate.key.ip);
       jobs.push_back(job);
     }
     scan_queue_ = std::move(deferred);

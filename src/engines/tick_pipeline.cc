@@ -5,7 +5,6 @@
 
 #include "core/metrics.h"
 #include "core/trace.h"
-#include "pipeline/entity.h"
 
 namespace censys::engines {
 
@@ -30,13 +29,11 @@ void TickPipeline::Execute(std::size_t index) {
     try {
       slot.result = interrogator_.InterrogateDetached(job.key, job.at, job.pop,
                                                       job.udp_hint);
-      if (job.project && slot.result.record.has_value()) {
-        // Project the record into entity fields and hash its content here,
-        // off the command thread — the serial stage then only diffs.
-        slot.service_fields = pipeline::ServiceFields(*slot.result.record);
-        slot.content_hash =
-            pipeline::WriteSide::ContentHash(*slot.result.record);
-        slot.projected = true;
+      if (job.prepare && slot.result.record.has_value()) {
+        // Project, hash and diff the record here, off the command thread;
+        // the commit stage takes the delta unless an earlier commit in
+        // this wave wrote the same service.
+        slot.prepared = write_side_.PrepareScan(*slot.result.record);
       }
     } catch (...) {
       // Publish the (empty) slot even on failure so the commit stage never
@@ -53,12 +50,11 @@ void TickPipeline::Execute(std::size_t index) {
 
 void TickPipeline::Commit(std::size_t index) {
   const InterrogationJob& job = (*jobs_)[index];
-  const StagedResult& slot = slots_[index].staged;
+  StagedResult& slot = slots_[index].staged;
   interrogator_.CommitResult(slot.result);
   if (slot.result.record.has_value()) {
-    if (slot.projected) {
-      write_side_.IngestScan(*slot.result.record, slot.service_fields,
-                             slot.content_hash);
+    if (slot.prepared.has_value()) {
+      write_side_.IngestScan(*slot.result.record, std::move(*slot.prepared));
     } else {
       write_side_.IngestScan(*slot.result.record);
     }
@@ -86,6 +82,9 @@ void TickPipeline::Run(const std::vector<InterrogationJob>& jobs) {
     }
   }
   next_.store(0, std::memory_order_relaxed);
+  // The window opens before any worker reads journal state: the written-key
+  // set must cover every event committed after a prepared diff's read.
+  write_side_.BeginCommitBatch();
 
   // Workers: claim job indices until the cursor passes n. Each claim is a
   // pure interrogation staged into its own slot.
@@ -105,7 +104,6 @@ void TickPipeline::Run(const std::vector<InterrogationJob>& jobs) {
   // run it (help), or yield once every job is claimed.
   std::size_t committed = 0;
   std::uint32_t since_flush = 0;
-  write_side_.BeginCommitBatch();
   try {
     TRACE_SPAN_VAR(cspan, "engine", "pipeline.commit");
     while (committed < n) {

@@ -8,24 +8,31 @@
 //   command thread            workers (Executor::Broadcast)
 //   --------------            -----------------------------
 //   commit ready slots <----  claim next_.fetch_add(1), interrogate
-//   in SEQUENCE order         (pure), stage the result into its slot,
-//   (group-committed)         publish
+//   in SEQUENCE order         (pure), prepare the ingest (project, hash,
+//   (group-committed)         diff against the host's applied state),
+//                             stage it into its slot, publish
 //
 // The command thread commits slots strictly in sequence order
 // (group-committing journal appends through WriteSide::BeginCommitBatch).
-// When the next slot is not ready it claims a job from the same cursor and
-// runs it itself ("help"), or yields once every job is claimed, so a slow
-// worker never idles the committer. Workers exit when the cursor passes
-// the job count. With zero workers Broadcast is a no-op and the same loop
-// claims, executes and commits job i in turn: the exact serial order and
-// flush cadence.
+// What stays serial is what needs the order: handshake accounting and the
+// certificate store, the scan-state bookkeeping and pseudo-service filter,
+// the predictive model, and the journal apply. The worker's delta is taken
+// as is unless the same service received an event earlier in the wave,
+// and then diffed again (WriteSide::IngestScan has the argument). When the
+// next slot is not ready the command thread claims a job from the same
+// cursor and runs it itself ("help"), or yields once every job is claimed,
+// so a slow worker never idles the committer. Workers exit when the cursor
+// passes the job count. With zero workers Broadcast is a no-op and the
+// same loop claims, executes and commits job i in turn: the exact serial
+// order and flush cadence.
 //
 // Overlap pays: a plain ParallelFor over the jobs followed by a serial
 // commit loop measured ~24% slower per tick on `mapbench ingest`
 // (EXPERIMENTS.md).
 //
 // Determinism is by construction: interrogation is pure
-// (InterrogateDetached), every side effect commits on the command thread in
+// (InterrogateDetached), a prepared delta equals the one the command
+// thread would compute, every side effect commits on the command thread in
 // sequence order, and group-commit batch boundaries never change journal
 // content.
 //
@@ -35,8 +42,11 @@
 // command thread acquire-loads before committing. Slots and the cursor are
 // reset only between waves, while no worker runs (Broadcast/JoinBroadcast
 // order those accesses). Workers read `jobs_` and the interrogator
-// const-only. There are no mutexes or condition variables on this path
-// (censyslint enforces the absence for src/engines/ and src/interrogate/).
+// const-only, and read host state through WriteSide::PrepareScan, which
+// takes the host's journal shard lock shared while the command thread's
+// flushes take it exclusively; that lock, inside the journal, is the only
+// one on this path. src/engines/ and src/interrogate/ hold no mutex or
+// condition variable of their own (censyslint enforces it).
 #pragma once
 
 #include <atomic>
@@ -66,12 +76,12 @@ struct InterrogationJob {
   bool ingest_failure_on_miss = false;
   // Discovery semantics: a hit trains the predictive engine.
   bool observe_predictive = true;
-  // Precompute the entity projection (ServiceFields + content hash) in the
-  // worker. Job builders clear this for hosts already pseudo-flagged at
-  // build time — their ingests are suppressed before the projection is
-  // ever read, so computing it would be pure waste. Set serially, so the
-  // decision is deterministic.
-  bool project = true;
+  // Prepare the ingest in the worker (WriteSide::PrepareScan: projection,
+  // content hash, delta). Job builders clear this for hosts already
+  // pseudo-flagged at build time — their ingests are suppressed before the
+  // preparation is ever read, so computing it would be pure waste. Set
+  // serially, so the decision is deterministic.
+  bool prepare = true;
 };
 
 // Cumulative across Run calls; the engine resets per tick.
@@ -110,12 +120,10 @@ class TickPipeline {
 
  private:
   // What a worker stages for the commit stage: the pure interrogation
-  // result plus the projections the serial stage would otherwise compute.
+  // result plus the record's projection and delta (WriteSide::PrepareScan).
   struct StagedResult {
     interrogate::InterrogationResult result;
-    storage::FieldMap service_fields;  // ServiceFields(*result.record)
-    std::uint64_t content_hash = 0;    // WriteSide::ContentHash
-    bool projected = false;            // fields/hash above are filled in
+    std::optional<pipeline::WriteSide::PreparedScan> prepared;
   };
 
   // One staging cell per job index, on its own cache line so workers

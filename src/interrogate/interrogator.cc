@@ -81,8 +81,8 @@ void Interrogator::CommitResult(const InterrogationResult& result) {
     net_.NoteHoneypotContact(ctx, result.key, result.at);
   }
   if (cert_observer_) {
-    for (const cert::Certificate& certificate : result.certs) {
-      cert_observer_(certificate, result.key, result.at);
+    for (const PresentedCertificate& presented : result.certs) {
+      cert_observer_(presented, result.key, result.at);
     }
   }
 }
@@ -180,7 +180,7 @@ ServiceRecord Interrogator::BuildRecordDetached(
         tls->cert_seed, svc.requires_sni ? svc.sni_name : std::string_view{},
         Timestamp{0});
     record.cert_sha256 = presented.Sha256Hex();
-    out.certs.push_back(presented);
+    out.certs.push_back(PresentedCertificate{presented, record.cert_sha256});
   }
 
   return record;

@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -26,6 +27,13 @@
 #include "simnet/internet.h"
 
 namespace censys::interrogate {
+
+// A certificate presented during a TLS follow-up handshake, with its
+// SHA-256 fingerprint, computed where the handshake ran.
+struct PresentedCertificate {
+  cert::Certificate certificate;
+  std::string sha256_hex;
+};
 
 // Everything one detached interrogation produced: the record (nullopt when
 // nothing answered) and the side effects to apply at commit time.
@@ -39,7 +47,7 @@ struct InterrogationResult {
   bool honeypot = false;
   std::optional<ServiceRecord> record;
   // Certificates presented during TLS follow-up handshakes.
-  std::vector<cert::Certificate> certs;
+  std::vector<PresentedCertificate> certs;
 };
 
 class Interrogator {
@@ -80,9 +88,10 @@ class Interrogator {
   std::uint64_t handshakes_completed() const { return handshakes_; }
 
   // Invoked with every certificate collected during a TLS follow-up
-  // handshake; the engine feeds these to its certificate store (§4.4).
-  using CertObserver =
-      std::function<void(const cert::Certificate&, ServiceKey, Timestamp)>;
+  // handshake, and its fingerprint; the engine feeds these to its
+  // certificate store (§4.4).
+  using CertObserver = std::function<void(const PresentedCertificate&,
+                                          ServiceKey, Timestamp)>;
   void SetCertificateObserver(CertObserver observer) {
     cert_observer_ = std::move(observer);
   }

@@ -1,6 +1,7 @@
 #include "pipeline/write_side.h"
 
 #include <algorithm>
+#include <span>
 
 #include "core/strings.h"
 #include "core/trace.h"
@@ -20,6 +21,7 @@ void WriteSide::BindMetrics(metrics::Registry* registry) {
       metrics::BindCounter(registry, "censys.pipeline.evictions");
   pseudo_metric_ =
       metrics::BindCounter(registry, "censys.pipeline.pseudo_suppressed");
+  rediff_metric_ = metrics::BindCounter(registry, "censys.pipeline.rediffs");
   tracked_metric_ =
       metrics::BindGauge(registry, "censys.pipeline.tracked_services");
 }
@@ -29,33 +31,55 @@ std::uint64_t WriteSide::ContentHash(const ServiceRecord& record) {
          Fnv1a64(std::string(proto::Name(record.protocol)));
 }
 
+WriteSide::PreparedScan WriteSide::PrepareScan(
+    const ServiceRecord& record) const {
+  PreparedScan prepared;
+  prepared.service_fields = ServiceFields(record);
+  prepared.content_hash = ContentHash(record);
+  prepared.entity = HostEntityId(record.key.ip);
+  bool found = false;
+  journal_.ForEachEntityIn(
+      std::span(&prepared.entity, 1),
+      [&](std::string_view, const storage::FieldMap& state) {
+        prepared.delta =
+            UpsertServiceDelta(state, record.key, prepared.service_fields);
+        found = true;
+      });
+  if (!found) {
+    prepared.delta =
+        UpsertServiceDelta(storage::FieldMap(), record.key,
+                           prepared.service_fields);
+  }
+  return prepared;
+}
+
 void WriteSide::IngestScan(const ServiceRecord& record) {
   command_role_.AdoptCurrentThread();
   journal_.command_role().AdoptCurrentThread();
   const core::MutexLock lock(mu_);
-  IngestScanLocked(record, nullptr, nullptr);
+  IngestScanLocked(record, nullptr);
   if (!batching_) FlushCommitBatchLocked();
 }
 
 void WriteSide::IngestScan(const ServiceRecord& record,
-                           const storage::FieldMap& service_fields,
-                           std::uint64_t content_hash) {
+                           PreparedScan&& prepared) {
   command_role_.AdoptCurrentThread();
   journal_.command_role().AdoptCurrentThread();
   const core::MutexLock lock(mu_);
-  IngestScanLocked(record, &service_fields, &content_hash);
+  IngestScanLocked(record, &prepared);
   if (!batching_) FlushCommitBatchLocked();
 }
 
 void WriteSide::IngestScanLocked(const ServiceRecord& record,
-                                 const storage::FieldMap* service_fields,
-                                 const std::uint64_t* precomputed_hash) {
+                                 PreparedScan* prepared) {
   scans_ingested_.fetch_add(1, std::memory_order_relaxed);
   ingest_metric_.Add();
   const std::uint64_t packed = record.key.Pack();
   const std::uint32_t host = record.key.ip.value();
 
   FlushIfStagedLocked(host);
+  auto tracked = states_.find(packed);
+  const bool existed = tracked != states_.end();
 
   // --- pseudo-service filtering ----------------------------------------------
   if (options_.filter_pseudo_services) {
@@ -64,20 +88,17 @@ void WriteSide::IngestScanLocked(const ServiceRecord& record,
       pseudo_metric_.Add();
       return;
     }
-    HostCounts& counts = host_counts_[host];
-    const std::uint64_t content_hash =
-        precomputed_hash != nullptr ? *precomputed_hash : ContentHash(record);
-    if (!states_.contains(packed)) {
-      ++counts.total;
-      ++counts.by_content[content_hash];
-    }
-    if (counts.by_content[content_hash] > options_.pseudo_service_threshold) {
+    std::uint32_t& same_content = content_counts_[HostContent{
+        host, prepared != nullptr ? prepared->content_hash
+                                  : ContentHash(record)}];
+    if (!existed) ++same_content;
+    if (same_content > options_.pseudo_service_threshold) {
       // Host flagged: remove everything we had for it and suppress future
       // services.
-      pseudo_hosts_.emplace(host, true);
-      if (const storage::FieldMap* state =
+      pseudo_hosts_.insert(host);
+      if (const storage::FieldMap* fields =
               journal_.CurrentState(HostEntityId(record.key.ip))) {
-        for (ServiceKey key : ServicesIn(*state, record.key.ip)) {
+        for (ServiceKey key : ServicesIn(*fields, record.key.ip)) {
           StageRemovalLocked(key, record.observed_at);
           states_.erase(key.Pack());
           pseudo_suppressed_.fetch_add(1, std::memory_order_relaxed);
@@ -91,18 +112,28 @@ void WriteSide::IngestScanLocked(const ServiceRecord& record,
   }
 
   // --- command processing -------------------------------------------------------
-  std::string entity = HostEntityId(record.key.ip);
-  const storage::FieldMap* current = journal_.CurrentState(entity);
-  static const storage::FieldMap kEmpty;
-  const storage::FieldMap& state = current != nullptr ? *current : kEmpty;
+  std::string entity = prepared != nullptr ? std::move(prepared->entity)
+                                           : HostEntityId(record.key.ip);
+  storage::Delta delta;
+  if (prepared != nullptr && !written_keys_.contains(packed)) {
+    // No event since BeginCommitBatch touched this service's range, the
+    // only range the prepared diff read: it is the journal's range now.
+    delta = std::move(prepared->delta);
+  } else {
+    static const storage::FieldMap kEmpty;
+    const storage::FieldMap* current = journal_.CurrentState(entity);
+    const storage::FieldMap& state = current != nullptr ? *current : kEmpty;
+    delta = prepared != nullptr ? UpsertServiceDelta(state, record.key,
+                                                     prepared->service_fields)
+                                : UpsertServiceDelta(state, record);
+    if (prepared != nullptr) {
+      rediffs_.fetch_add(1, std::memory_order_relaxed);
+      rediff_metric_.Add();
+    }
+  }
 
-  const bool existed = states_.contains(packed);
-  storage::Delta delta =
-      service_fields != nullptr
-          ? UpsertServiceDelta(state, record.key, *service_fields)
-          : UpsertServiceDelta(state, record);
-
-  auto& service_state = states_[packed];
+  if (!existed) tracked = states_.try_emplace(packed).first;
+  ServiceState& service_state = tracked->second;
   if (!existed) {
     service_state.key = record.key;
     service_state.first_seen = record.observed_at;
@@ -121,6 +152,7 @@ void WriteSide::IngestScanLocked(const ServiceRecord& record,
     staged_events_.push_back(storage::EventJournal::PendingEvent{
         std::move(entity), kind, record.observed_at, std::move(delta)});
     staged_hosts_.insert(host);
+    if (batching_) written_keys_.insert(packed);
   }
   tracked_metric_.Set(static_cast<std::int64_t>(states_.size()));
 }
@@ -130,6 +162,7 @@ void WriteSide::BeginCommitBatch() {
   journal_.command_role().AdoptCurrentThread();
   const core::MutexLock lock(mu_);
   batching_ = true;
+  written_keys_.clear();
 }
 
 void WriteSide::FlushCommitBatch() {
@@ -163,6 +196,7 @@ void WriteSide::StageRemovalLocked(ServiceKey key, Timestamp at) {
           std::move(entity), storage::EventKind::kServiceRemoved, at,
           std::move(delta)});
       staged_hosts_.insert(host);
+      if (batching_) written_keys_.insert(key.Pack());
     }
   }
 }

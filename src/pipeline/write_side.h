@@ -18,6 +18,9 @@
 // A shared_mutex guards the maps: command processing takes it exclusively,
 // queries take it shared. GetState() returns a raw pointer and is therefore
 // only safe from the command thread; concurrent readers use GetStateCopy().
+// PrepareScan reads no write-side state, only the journal (under its shard
+// reader locks), so interrogation workers call it while the command thread
+// commits.
 // Per-host scan-state revisions feed the read-side view cache: they bump
 // whenever non-journaled state visible in a HostView changes.
 #pragma once
@@ -64,21 +67,38 @@ class WriteSide {
       : WriteSide(journal, Options()) {}
   WriteSide(storage::EventJournal& journal, Options options);
 
-  // The pseudo-service content hash IngestScan buckets records by. Exposed
-  // so interrogation workers can precompute it off the command thread.
-  static std::uint64_t ContentHash(const ServiceRecord& record);
+  // The part of a scan command that is a pure function of the record and
+  // the host's applied journal state, computed ahead of IngestScan so it
+  // can run off the command thread (the tick pipeline's workers do).
+  struct PreparedScan {
+    storage::FieldMap service_fields;  // ServiceFields(record)
+    // The pseudo-service content hash IngestScan buckets records by.
+    std::uint64_t content_hash = 0;
+    std::string entity;                // HostEntityId(record.key.ip)
+    // UpsertServiceDelta of the service against the host's applied state
+    // as PrepareScan read it.
+    storage::Delta delta;
+  };
 
-  // A successful interrogation of `record.key`.
+  // Projects, hashes and diffs `record`, reading the host's applied state
+  // in place under its journal shard's reader lock. Safe on any thread,
+  // concurrently with the command thread's flushes.
+  PreparedScan PrepareScan(const ServiceRecord& record) const;
+
+  // A successful interrogation of `record.key`, projected and diffed on
+  // the command thread.
   void IngestScan(const ServiceRecord& record);
 
-  // Same, with the entity-field projection and pseudo-service content hash
-  // precomputed (interrogation workers do both off-thread; the serial
-  // commit stage then only diffs and journals). `service_fields` must equal
-  // ServiceFields(record) and `content_hash` the pseudo-filter hash of the
-  // record's banner/title/protocol.
-  void IngestScan(const ServiceRecord& record,
-                  const storage::FieldMap& service_fields,
-                  std::uint64_t content_hash);
+  // Same, with `prepared` = PrepareScan(record) made inside the current
+  // Begin/End window (or, outside one, after the last journal write).
+  // Takes the entity id and delta out of `prepared`; the projection stays
+  // with the caller, so a worker's allocation is freed by the worker.
+  // UpsertServiceDelta reads only the service's own field range, and the
+  // only journal writer is this command thread, so the prepared delta is
+  // exact unless the service itself received an event since
+  // BeginCommitBatch: then IngestScan diffs again against CurrentState,
+  // with the same function, and counts a re-diff (rediffs()).
+  void IngestScan(const ServiceRecord& record, PreparedScan&& prepared);
 
   // A failed interrogation (target unreachable / gone).
   void IngestFailure(ServiceKey key, Timestamp at);
@@ -87,13 +107,16 @@ class WriteSide {
   // Every journal event (IngestScan's found/changed events, pseudo-host
   // removals, evictions) is staged, and a flush drains the staged events
   // with ONE journal/WAL batch append. An event for a host that already has
-  // a staged event flushes first, so its delta diffs against applied state
-  // (a revisit flush). Outside a Begin/End window each IngestScan and
+  // a staged event flushes first, so a command-thread diff reads applied
+  // state (a revisit flush). Outside a Begin/End window each IngestScan and
   // AdvanceTo call flushes before it returns; between Begin and End only
-  // FlushCommitBatch, End and revisits flush. The journal's commit
-  // observers run inside the flush, with mu_ held: an observer must never
-  // call back into the write side. Command-thread only; batch boundaries
-  // never change journal content, only WAL write granularity.
+  // FlushCommitBatch, End and revisits flush. Begin also starts the
+  // window's written-key set: the services that received an event (scan or
+  // removal) since, whose prepared deltas IngestScan re-diffs. The
+  // journal's commit observers run inside the flush, with mu_ held: an
+  // observer must never call back into the write side. Command-thread only;
+  // batch boundaries never change journal content, only WAL write
+  // granularity.
   void BeginCommitBatch();
   void FlushCommitBatch();
   void EndCommitBatch();  // flush + leave batching mode
@@ -104,6 +127,11 @@ class WriteSide {
   // Flushes forced by a host revisited while its event was staged.
   std::uint64_t revisit_flushes() const {
     return revisit_flushes_.load(std::memory_order_relaxed);
+  }
+  // Prepared deltas IngestScan discarded and diffed again, because their
+  // service received an event earlier in the window.
+  std::uint64_t rediffs() const {
+    return rediffs_.load(std::memory_order_relaxed);
   }
 
   // Evicts services whose pending-eviction deadline has passed.
@@ -161,7 +189,7 @@ class WriteSide {
   }
 
   // Registers censys.pipeline.* instruments (ingests, failures, evictions,
-  // pseudo suppressions, tracked-service gauge).
+  // pseudo suppressions, re-diffs, tracked-service gauge).
   void BindMetrics(metrics::Registry* registry);
 
   // The command-thread capability backing GetState's pointer contract.
@@ -170,15 +198,17 @@ class WriteSide {
   const core::ThreadRole& command_role() const { return command_role_; }
 
  private:
-  void IngestScanLocked(const ServiceRecord& record,
-                        const storage::FieldMap* service_fields,
-                        const std::uint64_t* content_hash)
+  // PreparedScan::content_hash of `record`.
+  static std::uint64_t ContentHash(const ServiceRecord& record);
+  // `prepared` is null for a command-thread diff.
+  void IngestScanLocked(const ServiceRecord& record, PreparedScan* prepared)
       CENSYS_REQUIRES(mu_, journal_.command_role());
   void FlushCommitBatchLocked() CENSYS_REQUIRES(mu_);
   // The revisit rule: flushes when `host` has a staged event.
   void FlushIfStagedLocked(std::uint32_t host) CENSYS_REQUIRES(mu_);
   // Stages the removal of `key`'s fields from its host entity (nothing
-  // when the journal holds none), after the revisit rule.
+  // when the journal holds none), after the revisit rule, and adds `key`
+  // to the written-key set.
   void StageRemovalLocked(ServiceKey key, Timestamp at)
       CENSYS_REQUIRES(mu_, journal_.command_role());
   // Sets last_refreshed and files the service under it in the due index.
@@ -217,15 +247,21 @@ class WriteSide {
   std::unordered_map<std::uint32_t, std::uint64_t> host_revisions_
       CENSYS_GUARDED_BY(mu_);
 
-  // Pseudo-service detection: per-host count of services sharing one
-  // content hash.
-  struct HostCounts {
-    std::unordered_map<std::uint64_t, std::uint32_t> by_content;
-    std::uint32_t total = 0;
+  // Pseudo-service detection: the count of a host's services sharing one
+  // content hash, in one map keyed by both.
+  struct HostContent {
+    std::uint32_t host = 0;
+    std::uint64_t content_hash = 0;
+    bool operator==(const HostContent&) const = default;
   };
-  std::unordered_map<std::uint32_t, HostCounts> host_counts_
-      CENSYS_GUARDED_BY(mu_);
-  std::unordered_map<std::uint32_t, bool> pseudo_hosts_ CENSYS_GUARDED_BY(mu_);
+  struct HostContentHash {
+    std::size_t operator()(const HostContent& key) const {
+      return key.content_hash ^ (key.host * 0x9E3779B97F4A7C15ull);
+    }
+  };
+  std::unordered_map<HostContent, std::uint32_t, HostContentHash>
+      content_counts_ CENSYS_GUARDED_BY(mu_);
+  std::unordered_set<std::uint32_t> pseudo_hosts_ CENSYS_GUARDED_BY(mu_);
 
   // Group-commit staging (command thread, under mu_). batching_ is true
   // between Begin and End.
@@ -235,17 +271,22 @@ class WriteSide {
   // Hosts with a staged (unapplied) journal event; a new event for one of
   // these forces a flush so its delta diffs against applied state.
   std::unordered_set<std::uint32_t> staged_hosts_ CENSYS_GUARDED_BY(mu_);
+  // Packed keys that received an event since BeginCommitBatch (kept only
+  // inside a window); a prepared delta for one of these is re-diffed.
+  std::unordered_set<std::uint64_t> written_keys_ CENSYS_GUARDED_BY(mu_);
 
   std::atomic<std::uint64_t> scans_ingested_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> pseudo_suppressed_{0};
   std::atomic<std::uint64_t> batch_flushes_{0};
   std::atomic<std::uint64_t> revisit_flushes_{0};
+  std::atomic<std::uint64_t> rediffs_{0};
 
   metrics::CounterHandle ingest_metric_;
   metrics::CounterHandle failure_metric_;
   metrics::CounterHandle eviction_metric_;
   metrics::CounterHandle pseudo_metric_;
+  metrics::CounterHandle rediff_metric_;
   metrics::GaugeHandle tracked_metric_;
 };
 

@@ -1,6 +1,7 @@
 #include "predict/predictive.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace censys::predict {
 namespace {
@@ -14,47 +15,57 @@ std::uint32_t PairKey(Port a, Port b) {
   return (static_cast<std::uint32_t>(a) << 16) | b;
 }
 
-constexpr std::size_t kTopPartners = 8;
+// Ports stored per host; a port observed past this cap is not stored.
+constexpr std::size_t kMaxHostPorts = 16;
 
 using Partner = std::pair<Port, std::uint32_t>;
 
-// A correlated_ list's order: higher count first, ties by lower port.
+// A top list's order: higher count first, ties by lower port.
 bool RanksBefore(const Partner& x, const Partner& y) {
   if (x.second != y.second) return x.second > y.second;
   return x.first < y.first;
 }
 
+}  // namespace
+
 // Sets `partner`'s count in a top list after it grew. Counts only grow, so
 // a partner outside the list can enter only here, when its own count
 // rises, and it can only move up.
-void Promote(std::vector<Partner>& top, Partner partner) {
+void PredictiveEngine::Promote(TopPartners& top, Partner partner) {
+  Partner* const begin = top.partners.data();
+  Partner* const end = begin + top.size;
   // A member's count now exceeds the 8th's, so a full list whose 8th
   // this partner does not rank before cannot hold it: the common case,
   // settled without a scan.
-  if (top.size() == kTopPartners && !RanksBefore(partner, top.back())) {
+  if (top.size == TopPartners::kCapacity &&
+      !RanksBefore(partner, *(end - 1))) {
     return;
   }
-  auto it = std::find_if(top.begin(), top.end(), [&](const Partner& p) {
+  Partner* it = std::find_if(begin, end, [&](const Partner& p) {
     return p.first == partner.first;
   });
-  if (it != top.end()) {
+  if (it != end) {
     it->second = partner.second;
-  } else if (top.size() < kTopPartners) {
-    it = top.insert(top.end(), partner);
+  } else if (top.size < TopPartners::kCapacity) {
+    *it = partner;
+    ++top.size;
   } else {
-    it = top.end() - 1;
+    it = end - 1;
     *it = partner;  // displaces the 8th
   }
-  for (; it != top.begin() && RanksBefore(*it, *(it - 1)); --it) {
+  for (; it != begin && RanksBefore(*it, *(it - 1)); --it) {
     std::iter_swap(it, it - 1);
   }
 }
 
-}  // namespace
-
 PredictiveEngine::PredictiveEngine(const simnet::BlockPlan& plan,
                                    std::uint64_t seed, Options options)
     : plan_(plan), options_(options), rng_(SplitMix64(seed ^ 0x93ED1C7)) {}
+
+void PredictiveEngine::BindMetrics(metrics::Registry* registry) {
+  capped_recounts_metric_ =
+      metrics::BindCounter(registry, "censys.predict.capped_recounts");
+}
 
 void PredictiveEngine::ObserveService(ServiceKey key) {
   ++stats_.observations;
@@ -64,13 +75,41 @@ void PredictiveEngine::ObserveService(ServiceKey key) {
 
   auto& ports = host_ports_[key.ip.value()];
   if (std::find(ports.begin(), ports.end(), key.port) == ports.end()) {
+    if (ports.size() >= kMaxHostPorts) capped_recounts_metric_.Add();
     // Update co-occurrence with previously known ports on this host.
     if (pair_counts_.size() < options_.max_pairs) {
       for (Port existing : ports) RaisePair(existing, key.port);
     }
-    if (ports.size() < 16) ports.push_back(key.port);
+    if (ports.size() < kMaxHostPorts) ports.push_back(key.port);
     // Freshly (re)discovered hosts are prime co-occurrence targets.
     if (recent_hosts_.size() < 65536) recent_hosts_.push_back(key.ip.value());
+  }
+}
+
+std::uint32_t& PredictiveEngine::PairCounts::operator[](std::uint32_t key) {
+  if (2 * (size_ + 1) > slots_.size()) Grow();
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = Home(key);; i = (i + 1) & mask) {
+    if (slots_[i].first == key) return slots_[i].second;
+    if (slots_[i].first == kEmpty) {
+      ++size_;
+      slots_[i] = {key, 0};
+      return slots_[i].second;
+    }
+  }
+}
+
+void PredictiveEngine::PairCounts::Grow() {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> old(
+      slots_.empty() ? 1024 : 2 * slots_.size(), {kEmpty, 0});
+  old.swap(slots_);
+  shift_ = 64 - std::countr_zero(slots_.size());
+  const std::size_t mask = slots_.size() - 1;
+  for (const auto& [key, count] : old) {
+    if (key == kEmpty) continue;
+    std::size_t i = Home(key);
+    while (slots_[i].first != kEmpty) i = (i + 1) & mask;
+    slots_[i] = {key, count};
   }
 }
 
@@ -147,9 +186,9 @@ std::vector<ServiceKey> PredictiveEngine::GenerateCandidates(
     const auto hp = host_ports_.find(ip);
     if (hp == host_ports_.end()) return;
     for (Port known : hp->second) {
-      const auto corr = correlated_.find(known);
-      if (corr == correlated_.end()) continue;
-      for (const auto& [candidate_port, support] : corr->second) {
+      const TopPartners& top = correlated_[known];
+      for (std::size_t i = 0; i < top.size; ++i) {
+        const Port candidate_port = top.partners[i].first;
         if (std::find(hp->second.begin(), hp->second.end(), candidate_port) !=
             hp->second.end())
           continue;  // already known open

@@ -16,11 +16,14 @@
 // transiently-offline services on obscure ports are quickly re-found.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "core/metrics.h"
 #include "core/rng.h"
 #include "core/types.h"
 #include "simnet/blocks.h"
@@ -62,8 +65,20 @@ class PredictiveEngine {
 
   const PredictorStats& stats() const { return stats_; }
 
+  // Registers censys.predict.capped_recounts.
+  void BindMetrics(metrics::Registry* registry);
+
  private:
+  // A port's top partners, best first: (partner port, pair count).
+  struct TopPartners {
+    static constexpr std::size_t kCapacity = 8;
+    std::array<std::pair<Port, std::uint32_t>, kCapacity> partners;
+    std::uint8_t size = 0;
+  };
+
   bool Cooldown(ServiceKey key, Timestamp now);
+  // Sets a partner's count in `top` after it grew, keeping the order.
+  static void Promote(TopPartners& top, std::pair<Port, std::uint32_t> partner);
   // Counts one more host with ports a and b both open, keeping both
   // ports' correlated_ lists exact.
   void RaisePair(Port a, Port b);
@@ -76,12 +91,34 @@ class PredictiveEngine {
   std::unordered_map<std::uint64_t, std::uint32_t> block_port_counts_;
   // Ports seen per host (bounded small vectors).
   std::unordered_map<std::uint32_t, std::vector<Port>> host_ports_;
-  // Co-occurrence model: (port_a << 16 | port_b) -> count, a < b.
-  std::unordered_map<std::uint32_t, std::uint32_t> pair_counts_;
-  // Per port, its top-8 partners with at least min_cooccurrence_support,
-  // by count (descending) then port, kept exact on every pair increment.
-  std::unordered_map<Port, std::vector<std::pair<Port, std::uint32_t>>>
-      correlated_;
+  // Co-occurrence model: (port_a << 16 | port_b) -> count, a < b. Only
+  // ever counted up by key and sized, never iterated, so it is an
+  // open-addressing table (linear probing, at most half full): an
+  // increment probes one array where a node map chased two pointers.
+  class PairCounts {
+   public:
+    // The count of `key`, inserted at 0 when absent.
+    std::uint32_t& operator[](std::uint32_t key);
+    std::size_t size() const { return size_; }
+
+   private:
+    // No pair key: a < b, so a pair never has a == b == 0xffff.
+    static constexpr std::uint32_t kEmpty = 0xffffffff;
+    // The slot `key`'s probe run starts at.
+    std::size_t Home(std::uint32_t key) const {
+      return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+    void Grow();
+
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> slots_;
+    int shift_ = 0;  // 64 - log2(slots_.size()), set by Grow
+    std::size_t size_ = 0;
+  };
+  PairCounts pair_counts_;
+  // Per port (indexed by port number, all 65,536), its top-8 partners
+  // with at least min_cooccurrence_support, by count (descending) then
+  // port, kept exact on every pair increment.
+  std::vector<TopPartners> correlated_ = std::vector<TopPartners>(1u << 16);
   // Hosts with fresh discoveries, drained first by candidate generation
   // (new hosts are the best co-occurrence targets).
   std::deque<std::uint32_t> recent_hosts_;
@@ -98,6 +135,9 @@ class PredictiveEngine {
   bool hot_dirty_ = true;
 
   PredictorStats stats_;
+  // Observations of a port not stored on a host that already stores the
+  // maximum: each one counts the host's pairs again.
+  metrics::CounterHandle capped_recounts_metric_;
 };
 
 }  // namespace censys::predict

@@ -266,6 +266,24 @@ ColumnSegment MergeChunks(std::vector<std::unique_ptr<Chunk>> chunks,
   return segment;
 }
 
+// Cuts items 0..n into at most `parts` contiguous ranges of about equal
+// total weight(i); range r is [cuts[r], cuts[r + 1]). No items, no ranges.
+template <typename Weight>
+std::vector<std::size_t> Cut(std::size_t n, std::size_t parts, Weight weight) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) total += weight(i);
+  std::vector<std::size_t> cuts = {0};
+  std::size_t sum = 0;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    sum += weight(i);
+    if (cuts.size() < parts && sum * parts >= total * cuts.size()) {
+      cuts.push_back(i + 1);
+    }
+  }
+  if (n > 0) cuts.push_back(n);
+  return cuts;
+}
+
 void AccumulateColumn(const ColumnSegment::Column& column,
                       std::map<std::string, std::uint64_t>& groups) {
   for (const ColumnSegment::Run& run : column.runs) {
@@ -276,24 +294,68 @@ void AccumulateColumn(const ColumnSegment::Column& column,
 }  // namespace
 
 std::string ColumnSegment::Encode() const {
+  Executor inline_executor(0);
+  return Encode(inline_executor);
+}
+
+std::string ColumnSegment::Encode(Executor& executor) const {
+  // Pieces: contiguous ranges of row ids, then of columns, each encoded
+  // into its own buffer. Row ids are about equal in size; a column's size
+  // follows its dictionary and runs.
+  const auto threads = static_cast<std::size_t>(executor.thread_count()) + 1;
+  const std::size_t parts = kChunksPerThread * threads;
+  const std::vector<std::size_t> row_cuts =
+      Cut(row_ids.size(), parts, [](std::size_t) { return std::size_t{1}; });
+  const std::vector<std::size_t> column_cuts =
+      Cut(columns.size(), parts, [&](std::size_t c) {
+        return columns[c].dict.size() + columns[c].runs.size() + 1;
+      });
+
+  const std::size_t row_pieces = row_cuts.size() - 1;
+  std::vector<std::string> pieces(row_pieces + column_cuts.size() - 1);
+  executor.ParallelFor(pieces.size(), [&](std::size_t p) {
+    // A local buffer, moved into place when done: the pieces' string
+    // objects share cache lines, so appending to them in place would
+    // bounce those lines between the threads on every byte.
+    std::string out;
+    if (p < row_pieces) {
+      for (std::size_t i = row_cuts[p]; i < row_cuts[p + 1]; ++i) {
+        storage::PutLengthPrefixed(out, row_ids[i]);
+      }
+      pieces[p] = std::move(out);
+      return;
+    }
+    const std::size_t range = p - row_pieces;
+    for (std::size_t c = column_cuts[range]; c < column_cuts[range + 1];
+         ++c) {
+      const Column& column = columns[c];
+      storage::PutLengthPrefixed(out, column.field);
+      storage::PutVarint(out, column.dict.size());
+      for (const std::string& value : column.dict) {
+        storage::PutLengthPrefixed(out, value);
+      }
+      storage::PutVarint(out, column.runs.size());
+      for (const Run& run : column.runs) {
+        storage::PutVarint(out, run.value);
+        storage::PutVarint(out, run.length);
+      }
+    }
+    pieces[p] = std::move(out);
+  });
+
+  std::size_t size = kMagic.size() + 4 * 10;  // magic and the four varints
+  for (const std::string& piece : pieces) size += piece.size();
   std::string out;
+  out.reserve(size);
   out.append(kMagic);
   storage::PutVarint(out, static_cast<std::uint64_t>(day));
   storage::PutVarint(out, row_ids.size());
-  for (const std::string& id : row_ids) storage::PutLengthPrefixed(out, id);
-  storage::PutVarint(out, columns.size());
-  for (const Column& column : columns) {
-    storage::PutLengthPrefixed(out, column.field);
-    storage::PutVarint(out, column.dict.size());
-    for (const std::string& value : column.dict) {
-      storage::PutLengthPrefixed(out, value);
-    }
-    storage::PutVarint(out, column.runs.size());
-    for (const Run& run : column.runs) {
-      storage::PutVarint(out, run.value);
-      storage::PutVarint(out, run.length);
-    }
+  for (std::size_t p = 0; p < pieces.size(); ++p) {
+    if (p == row_pieces) storage::PutVarint(out, columns.size());
+    out.append(pieces[p]);
+    std::string().swap(pieces[p]);
   }
+  if (pieces.size() == row_pieces) storage::PutVarint(out, columns.size());
   return out;
 }
 
@@ -398,7 +460,7 @@ bool AnalyticsTier::BuildDay(std::int64_t day, std::string* error) {
   std::string encoded;
   {
     const metrics::ScopedTimer timer(encode_us_metric_);
-    encoded = segment->Encode();
+    encoded = segment->Encode(executor_);
   }
   if (!options_.dir.empty()) {
     const metrics::ScopedTimer timer(write_us_metric_);

@@ -94,6 +94,9 @@ struct ColumnSegment {
   std::vector<Column> columns;       // sorted by field name
 
   std::string Encode() const;
+  // The same bytes, with contiguous ranges of row ids and of columns
+  // encoded into separate buffers on `executor` and joined in order.
+  std::string Encode(Executor& executor) const;
   // Strict: rejects bad magic, truncation, trailing bytes, unsorted rows
   // or columns, out-of-range dictionary ids, and run-length sums that
   // disagree with row_count.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -10,10 +11,16 @@
 #include <tuple>
 #include <unordered_set>
 
+#include "core/executor.h"
 #include "core/strings.h"
 #include "engines/evaluation.h"
+#include "engines/tick_pipeline.h"
 #include "engines/world.h"
+#include "interrogate/interrogator.h"
 #include "pipeline/entity.h"
+#include "pipeline/write_side.h"
+#include "predict/predictive.h"
+#include "simnet/internet.h"
 #include "search/pivots.h"
 #include "web/attach.h"
 
@@ -448,15 +455,18 @@ TEST(WorldDeterminismTest, SameSeedSameOutcome) {
 
 // Order-sensitive digest of every journal row: any difference in event
 // order, content, or count between two runs changes it.
-std::uint64_t JournalDigest(const CensysEngine& engine) {
+std::uint64_t JournalDigest(const storage::EventJournal& journal) {
   std::uint64_t digest = 1469598103934665603ull;
-  engine.journal().ScanAll(
-      [&](std::string_view key, std::string_view value) {
-        digest = (digest ^ Fnv1a64(key)) * 1099511628211ull;
-        digest = (digest ^ Fnv1a64(value)) * 1099511628211ull;
-        return true;
-      });
+  journal.ScanAll([&](std::string_view key, std::string_view value) {
+    digest = (digest ^ Fnv1a64(key)) * 1099511628211ull;
+    digest = (digest ^ Fnv1a64(value)) * 1099511628211ull;
+    return true;
+  });
   return digest;
+}
+
+std::uint64_t JournalDigest(const CensysEngine& engine) {
+  return JournalDigest(engine.journal());
 }
 
 // The tentpole guarantee of the staged pipeline: interrogation fans out
@@ -541,6 +551,163 @@ TEST(WorldDeterminismTest, GroupCommitMatrixMatchesSerialJournalExactly) {
                    " batch=" + std::to_string(batch));
       EXPECT_EQ(run(threads, batch), want);
     }
+  }
+}
+
+// ------------------------------------- worker-side diff (hand-built waves)
+
+// A tick pipeline of its own over a small internet, fed hand-built waves.
+// Workers diff each record against the host state they read; the commit
+// stage re-diffs a service that received an event earlier in the wave.
+class WorkerDiffTest : public ::testing::Test {
+ protected:
+  static constexpr Timestamp kAt = Timestamp::FromHours(1);
+
+  WorkerDiffTest() : net_(Config()), interrogator_(net_, profile_) {}
+
+  static simnet::UniverseConfig Config() {
+    simnet::UniverseConfig cfg;
+    cfg.seed = 19;
+    cfg.universe_size = 1u << 16;
+    cfg.target_services = 6000;
+    return cfg;
+  }
+
+  InterrogationJob Job(ServiceKey key) const {
+    InterrogationJob job;
+    job.key = key;
+    job.at = kAt;
+    return job;
+  }
+
+  // Whether an interrogation of `key` at kAt answers (pure, so the waves
+  // below answer the same way).
+  bool Answers(ServiceKey key) const {
+    return interrogator_.InterrogateDetached(key, kAt, 0).record.has_value();
+  }
+
+  // Up to `count` answering services of one non-pseudo host, with at
+  // least `count` of them.
+  std::vector<ServiceKey> HostServices(std::size_t count) const {
+    std::map<std::uint32_t, std::vector<ServiceKey>> by_host;
+    net_.ForEachActiveService(kAt, [&](const simnet::SimService& svc) {
+      if (!svc.pseudo && Answers(svc.key)) {
+        by_host[svc.key.ip.value()].push_back(svc.key);
+      }
+    });
+    for (const auto& [ip, keys] : by_host) {
+      if (keys.size() >= count) {
+        return {keys.begin(), keys.begin() + static_cast<long>(count)};
+      }
+    }
+    return {};
+  }
+
+  struct Outcome {
+    std::uint64_t digest = 0;
+    std::uint64_t events = 0;
+    std::uint64_t rediffs = 0;
+    bool operator==(const Outcome& o) const {
+      return digest == o.digest && events == o.events;
+    }
+  };
+
+  // The wave through a TickPipeline with `threads` workers, committing in
+  // batches of 64.
+  Outcome RunPipeline(const std::vector<InterrogationJob>& jobs,
+                      int threads) {
+    storage::EventJournal journal;
+    pipeline::WriteSide write(journal);
+    predict::PredictiveEngine predictive(net_.blocks(), 5);
+    Executor executor(threads);
+    TickPipeline tick(executor, interrogator_, write, predictive, 64);
+    tick.Run(jobs);
+    return {JournalDigest(journal), journal.event_count(), write.rediffs()};
+  }
+
+  // The same jobs one at a time, each diffed on the calling thread and
+  // journaled before the next.
+  Outcome RunSerial(const std::vector<InterrogationJob>& jobs) {
+    storage::EventJournal journal;
+    pipeline::WriteSide write(journal);
+    for (const InterrogationJob& job : jobs) {
+      const auto record = interrogator_.Interrogate(job.key, job.at, job.pop);
+      if (record.has_value()) write.IngestScan(*record);
+    }
+    return {JournalDigest(journal), journal.event_count(), write.rediffs()};
+  }
+
+  simnet::Internet net_;
+  simnet::ScannerProfile profile_{1, "censys", 576.0, 1280.0};
+  interrogate::Interrogator interrogator_;
+};
+
+// A service found twice in one wave: the second prepared delta was read
+// before the first event was applied, so only the re-diff keeps a second
+// found event out of the journal.
+TEST_F(WorkerDiffTest, SameServiceTwiceInAWaveIsRediffed) {
+  const std::vector<ServiceKey> host = HostServices(2);
+  ASSERT_EQ(host.size(), 2u);
+  const std::vector<InterrogationJob> jobs = {Job(host[0]), Job(host[1]),
+                                              Job(host[0])};
+  const Outcome want = RunSerial(jobs);
+  EXPECT_EQ(want.events, 2u);
+  for (const int threads : {0, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const Outcome got = RunPipeline(jobs, threads);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(got.rediffs, 1u);
+  }
+}
+
+// A pseudo-service host crosses the threshold mid-wave: its services
+// already journaled are removed (their keys join the written set) and its
+// later jobs in the wave are suppressed before any delta is read, so the
+// wave re-diffs nothing and still journals what the serial path does.
+TEST_F(WorkerDiffTest, PseudoHostFlaggedMidWaveMatchesSerial) {
+  std::optional<IPv4Address> pseudo;
+  net_.ForEachPseudoHost([&](IPv4Address ip) {
+    if (!pseudo.has_value()) pseudo = ip;
+  });
+  ASSERT_TRUE(pseudo.has_value());
+  const std::vector<ServiceKey> other = HostServices(2);
+  ASSERT_EQ(other.size(), 2u);
+  std::vector<InterrogationJob> jobs = {Job(other[0])};
+  std::size_t answering = 0;
+  for (Port port = 1000; answering < 30 && port < 1200; ++port) {
+    const ServiceKey key{*pseudo, port, Transport::kTcp};
+    if (!Answers(key)) continue;
+    jobs.push_back(Job(key));
+    if (++answering == 10) jobs.push_back(Job(other[1]));
+  }
+  ASSERT_EQ(answering, 30u);
+  const Outcome want = RunSerial(jobs);
+  // Found events for the first 20 services, one removal event each, and
+  // the other host's two.
+  EXPECT_EQ(want.events, 42u);
+  for (const int threads : {0, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const Outcome got = RunPipeline(jobs, threads);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(got.rediffs, 0u);
+  }
+}
+
+// A new host whose two services are found in one wave: both workers diff
+// against no state at all. The first event is applied by the revisit flush
+// before the second commits, but it wrote only its own service's range, so
+// the second prepared delta is still exact and is taken without a re-diff.
+TEST_F(WorkerDiffTest, NewHostFoundTwiceInAWaveNeedsNoRediff) {
+  const std::vector<ServiceKey> host = HostServices(2);
+  ASSERT_EQ(host.size(), 2u);
+  const std::vector<InterrogationJob> jobs = {Job(host[0]), Job(host[1])};
+  const Outcome want = RunSerial(jobs);
+  EXPECT_EQ(want.events, 2u);
+  for (const int threads : {0, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const Outcome got = RunPipeline(jobs, threads);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(got.rediffs, 0u);
   }
 }
 

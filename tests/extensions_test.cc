@@ -59,8 +59,8 @@ class CertStoreTest : public ::testing::Test {
 TEST_F(CertStoreTest, ScanAndCtObservationsMerge) {
   const cert::Certificate c =
       cert::SynthesizeCertificate(5, "www.example.com", Timestamp{0});
-  store_.ObserveFromScan(c, {IPv4Address(1), 443, Transport::kTcp},
-                         Timestamp{10});
+  store_.ObserveFromScan(c, c.Sha256Hex(),
+                         {IPv4Address(1), 443, Transport::kTcp}, Timestamp{10});
   store_.ObserveFromCt(cert::CtEntry{0, Timestamp{5}, c}, Timestamp{20});
 
   ASSERT_EQ(store_.size(), 1u);
@@ -76,7 +76,8 @@ TEST_F(CertStoreTest, PresentedByPivot) {
       cert::SynthesizeCertificate(9, "shared.example.com", Timestamp{0});
   // The same certificate presented by three endpoints (a C2 kit pattern).
   for (std::uint32_t ip : {100u, 200u, 300u}) {
-    store_.ObserveFromScan(c, {IPv4Address(ip), 443, Transport::kTcp},
+    store_.ObserveFromScan(c, c.Sha256Hex(),
+                           {IPv4Address(ip), 443, Transport::kTcp},
                            Timestamp{0});
   }
   const auto endpoints = store_.PresentedBy(c.Sha256Hex());
@@ -95,8 +96,8 @@ TEST_F(CertStoreTest, RevalidationCatchesExpiry) {
   // only status change in play is expiry.
   c.serial = 424242;
   while (crls_.RevokedAt(c.issuer, c.serial).has_value()) ++c.serial;
-  store_.ObserveFromScan(c, {IPv4Address(1), 443, Transport::kTcp},
-                         Timestamp{0});
+  store_.ObserveFromScan(c, c.Sha256Hex(),
+                         {IPv4Address(1), 443, Transport::kTcp}, Timestamp{0});
   EXPECT_EQ(store_.Get(c.Sha256Hex())->status,
             cert::ValidationStatus::kTrusted);
 
@@ -115,9 +116,10 @@ TEST_F(CertStoreTest, StatsBreakdown) {
     if (seed % 3 == 0) {
       store_.ObserveFromCt(cert::CtEntry{seed, Timestamp{0}, c}, Timestamp{0});
     } else {
-      store_.ObserveFromScan(c, {IPv4Address(static_cast<std::uint32_t>(seed)),
-                                 443, Transport::kTcp},
-                             Timestamp{0});
+      store_.ObserveFromScan(
+          c, c.Sha256Hex(),
+          {IPv4Address(static_cast<std::uint32_t>(seed)), 443, Transport::kTcp},
+          Timestamp{0});
     }
   }
   auto stats = store_.ComputeStats();

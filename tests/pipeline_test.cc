@@ -5,9 +5,11 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -360,6 +362,52 @@ TEST(WriteSideBatchTest, RemovalsInABatchJournalLikeUnbatchedCalls) {
   // revisits.
   EXPECT_EQ(batched_revisits, 6u);
   EXPECT_EQ(unbatched_revisits, 2u);
+}
+
+// A scan prepared in a batch window, then evicted by a removal in the same
+// window, before it commits: the removal puts the service in the window's
+// written-key set, so IngestScan re-diffs the prepared delta (which was
+// read while the service was still journaled) and finds it again, as a
+// scan diffed on the command thread does.
+TEST(WriteSideBatchTest, PreparedScanOfAServiceRemovedInTheWindowIsRediffed) {
+  const IPv4Address ip(9);
+  const ServiceKey key{ip, 80, Transport::kTcp};
+  const Timestamp now = Timestamp::FromHours(80);
+  const ServiceRecord again = HttpRecord(ip, 80, now, "Site");
+  const auto run = [&](bool prepared, std::uint64_t* rediffs) {
+    storage::EventJournal journal;
+    WriteSide write(journal);
+    write.IngestScan(HttpRecord(ip, 80, Timestamp{0}, "Site"));
+    write.IngestFailure(key, Timestamp{60});
+    write.BeginCommitBatch();
+    std::optional<WriteSide::PreparedScan> scan;
+    if (prepared) scan = write.PrepareScan(again);
+    write.AdvanceTo(now);  // evicts the service: a staged removal
+    if (prepared) {
+      write.IngestScan(again, std::move(*scan));
+    } else {
+      write.IngestScan(again);
+    }
+    write.EndCommitBatch();
+    EXPECT_EQ(write.services_evicted(), 1u);
+    EXPECT_TRUE(write.GetStateCopy(key).has_value());
+    *rediffs = write.rediffs();
+    std::vector<std::pair<std::string, std::string>> rows;
+    journal.ScanAll([&](std::string_view k, std::string_view value) {
+      rows.emplace_back(k, value);
+      return true;
+    });
+    return rows;
+  };
+  std::uint64_t prepared_rediffs = 0;
+  std::uint64_t inline_rediffs = 0;
+  const auto with_prepared = run(true, &prepared_rediffs);
+  const auto inline_diff = run(false, &inline_rediffs);
+  EXPECT_EQ(with_prepared, inline_diff);
+  // found, removed, found again
+  EXPECT_EQ(with_prepared.size(), 3u);
+  EXPECT_EQ(prepared_rediffs, 1u);
+  EXPECT_EQ(inline_rediffs, 0u);
 }
 
 TEST_F(WriteSideTest, DiverseServicesOnOneHostAreNotPseudo) {

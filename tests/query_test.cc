@@ -40,6 +40,7 @@
 #include "serving/frontend.h"
 #include "simnet/blocks.h"
 #include "storage/delta.h"
+#include "storage/serialize.h"
 #include "storage/journal.h"
 #include "storage/segment_file.h"
 #include "test_tmpdir.h"
@@ -760,6 +761,61 @@ TEST(ColumnSegmentTest, ParallelBuildIsByteIdentical) {
   EXPECT_EQ(column("tail.only").runs.size(), 2u);  // absent, then the last
   EXPECT_EQ(ReferenceSegment(empty.journal(), 5).row_ids.size(), 0u);
   EXPECT_LT(ReferenceSegment(small.journal(), 5).row_ids.size(), 64u);
+}
+
+// The one-pass CSG1 encoder ColumnSegment::Encode replaced, kept as the
+// oracle of the ranged one.
+std::string ReferenceEncode(const ColumnSegment& segment) {
+  std::string out = "CSG1";
+  storage::PutVarint(out, static_cast<std::uint64_t>(segment.day));
+  storage::PutVarint(out, segment.row_ids.size());
+  for (const std::string& id : segment.row_ids) {
+    storage::PutLengthPrefixed(out, id);
+  }
+  storage::PutVarint(out, segment.columns.size());
+  for (const ColumnSegment::Column& column : segment.columns) {
+    storage::PutLengthPrefixed(out, column.field);
+    storage::PutVarint(out, column.dict.size());
+    for (const std::string& value : column.dict) {
+      storage::PutLengthPrefixed(out, value);
+    }
+    storage::PutVarint(out, column.runs.size());
+    for (const ColumnSegment::Run& run : column.runs) {
+      storage::PutVarint(out, run.value);
+      storage::PutVarint(out, run.length);
+    }
+  }
+  return out;
+}
+
+// Encode cuts the row ids and the columns into ranges, encodes them on the
+// executor and joins them: the bytes must not depend on the thread count,
+// including a segment with rows but no columns and one with neither.
+TEST(ColumnSegmentTest, ParallelEncodeIsByteIdentical) {
+  TestJournal empty;
+  TestJournal fixed;
+  FillColumnarJournal(fixed);
+  TestJournal large;
+  FillSeededJournal(large, 11, 600);
+  ColumnSegment rows_only;
+  rows_only.day = 2;
+  rows_only.row_ids = {"a", "b", "c"};
+  std::vector<ColumnSegment> segments = {ReferenceSegment(empty.journal(), 5),
+                                         ReferenceSegment(fixed.journal(), 3),
+                                         ReferenceSegment(large.journal(), 5),
+                                         rows_only};
+  Executor inline_executor(0);
+  Executor one(1);
+  Executor three(3);
+  for (const ColumnSegment& segment : segments) {
+    const std::string want = ReferenceEncode(segment);
+    EXPECT_EQ(segment.Encode(), want);
+    for (Executor* executor : {&inline_executor, &one, &three}) {
+      EXPECT_EQ(segment.Encode(*executor), want)
+          << "threads " << executor->thread_count() << " rows "
+          << segment.row_ids.size();
+    }
+  }
 }
 
 // The CSG1 bytes of FillColumnarJournal's day-3 segment, pinned: the

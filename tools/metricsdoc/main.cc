@@ -60,6 +60,10 @@ constexpr MetricDoc kDocs[] = {
      "Daily stage: the analytics snapshot's walk of the tracked services."},
     {"censys.predict.generate_us", "predict",
      "Refresh stage: one GenerateCandidates call of the predictive engine."},
+    {"censys.predict.capped_recounts", "predict",
+     "Observations of a port a host does not store, on a host already "
+     "storing the 16-port maximum: each counts the host's port pairs "
+     "again."},
     {"censys.scan.candidates", "scan",
      "L4 responsive candidates emitted to the interrogation queue."},
     {"censys.scan.probes_sent", "scan", "L4 probes sent."},
@@ -85,6 +89,9 @@ constexpr MetricDoc kDocs[] = {
      "Failed-refresh ingests (service unreachable)."},
     {"censys.pipeline.pseudo_suppressed", "pipeline",
      "Ingests suppressed because the service was a known pseudo-service."},
+    {"censys.pipeline.rediffs", "pipeline",
+     "Worker-prepared deltas the commit stage diffed again, because their "
+     "service received an event earlier in the same wave."},
     {"censys.pipeline.evictions", "pipeline",
      "Services evicted after the unreachability window."},
     {"censys.pipeline.tracked_services", "pipeline",
